@@ -3,8 +3,9 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 It benchmarks the magkit source tree next to this directory (../src) and
-works in ../.perfbench, which it removes when done. A run sets its inputs
-up SETUP_REPS times, then repeats whole passes of the workload until
+works in ../.perfbench, which it removes when done. A run times SETUP_REPS
+set-ups of its inputs, sets them up once more in this process, then
+repeats whole passes of the workload until
 `--seconds` have gone by, then checks every output of the passes. The last
 line of standard output is the result:
 
@@ -14,8 +15,9 @@ With --trace 0 the metrics are the end-to-end ones, measured untraced:
   pass_s       median wall time of a pass;
   peak_rss_mb  peak resident set of this process over set-up and passes,
                read before the checks' own computations start;
-  setup_s      median of SETUP_REPS set-ups, each a fresh interpreter's
-               `import magkit` plus building the inputs through magkit.
+  setup_s      median of SETUP_REPS set-ups, each one fresh interpreter
+               that imports magkit and builds the inputs through it
+               (setups.py), before any benchmark module loads numpy.
 With --trace 1 they are the per-layer figures of tracing.py, taken over
 rounds of one untraced and one traced pass.
 """
@@ -46,24 +48,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench"
+SETUP_PROBE = Path(__file__).resolve().parent / "setups.py"
 SETUP_REPS = 11
-IMPORT_PROBE = (
-    "import sys, time; sys.path.insert(0, sys.argv[1]); "
-    "t = time.perf_counter(); import magkit; print(time.perf_counter() - t)"
-)
 
 
-def import_seconds() -> float:
-    """Seconds a fresh interpreter takes to import magkit."""
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(SRC)],
-                          capture_output=True, text=True, check=True, timeout=120)
+def setup_seconds(workload) -> float:
+    """Seconds one fresh interpreter takes to import magkit and build the
+    workload's inputs."""
+    shape = ",".join(str(n) for n in workload.shape)
+    done = subprocess.run(
+        [sys.executable, str(SETUP_PROBE), str(SRC), workload.name, str(workload.seed),
+         str(workload.dir), shape],
+        capture_output=True, text=True, check=True, timeout=120)
     return float(done.stdout)
-
-
-def timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
 
 
 def one_pass(workload, tracer=None):
@@ -120,7 +117,8 @@ def tally(workload, results, prints) -> tuple[int, int, list[str]]:
 
 
 def untraced(workload, seconds: float) -> tuple[dict, tuple]:
-    setups = [import_seconds() + timed(workload.setup) for _ in range(SETUP_REPS)]
+    setups = [setup_seconds(workload) for _ in range(SETUP_REPS)]
+    workload.setup()
     times, results, prints = run_passes(workload, seconds)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     outcome = tally(workload, results, prints)
@@ -161,22 +159,29 @@ def traced(workload, seconds: float) -> tuple[dict, tuple]:
     shape, bits = workload.main_input()
     ranks = bits.nonzero()[0]
     sample = ranks[:: max(1, ranks.size // tracing.SCALAR_SAMPLE)].tolist()
+    from magkit import formats
     from magkit.core import CompanionTuple
 
+    figures["core.edges_s"] = (tracing.edges_s(formats.read_mcs(workload.read(workload.edges_input)))
+                               if workload.edges_input else 0.0)
     figures["core.edge_rank_us"], figures["core.edge_from_rank_us"] = tracing.scalar_us(
         CompanionTuple(shape), sample)
     figures["positions"], figures["present_edges"] = bits.size, len(ranks)
     traced_s = statistics.median(times)
     untraced_s = statistics.median(untraced_times)
-    layers = statistics.median(
-        sum(v for k, v in s.self_s.items() if not k.startswith("cli.")) for s in scopes)
+    layers = [sum(v for k, v in s.self_s.items() if not k.startswith("cli.")) for s in scopes]
+    # The share of each traced pass its layer self times cover; the untraced
+    # partner of a pass differs from it by pass-to-pass noise, so it is
+    # printed beside the share but is not its base.
+    share = statistics.median(100 * s / t for s, t in zip(layers, times))
     figures["trace.untraced_pass_s"] = untraced_s
     figures["trace.traced_pass_s"] = traced_s
-    figures["trace.layer_share_pct"] = 100 * layers / untraced_s
+    figures["trace.layer_share_pct"] = share
     print(f"{workload.name}: {len(times)} rounds of an untraced and a traced pass; "
-          f"layer self times {layers:.3f} s = {100 * layers / untraced_s:.1f} % of the untraced pass "
-          f"({untraced_s:.3f} s); cli residual {figures['cli.residual_s']:.3f} s; "
-          f"traced pass {traced_s:.3f} s, gap {traced_s - untraced_s:+.3f} s")
+          f"layer self times {statistics.median(layers):.3f} s, {share:.1f} % of the traced pass "
+          f"and {100 * statistics.median(layers) / untraced_s:.1f} % of the untraced one; "
+          f"untraced pass {untraced_s:.3f} s, traced pass {traced_s:.3f} s, "
+          f"gap {traced_s - untraced_s:+.3f} s; cli residual {figures['cli.residual_s']:.3f} s")
     units = dict(tracing.PER_LAYER)
     metrics = {name: {"value": figures[name], "unit": units[name]} for name in units}
     return metrics, tally(workload, results, prints)

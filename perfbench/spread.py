@@ -1,9 +1,10 @@
 """Run-to-run spread of the end-to-end metrics over several seeds.
 
-    python3 perfbench/spread.py --workload NAME --seeds 1-10 [--seconds S]
-        [--label L] [--compare OTHER_LABEL]
+    python3 perfbench/spread.py --workload NAME --seeds 1-10 [--label L]
+        [--compare OTHER_LABEL]
 
-Runs run.py once per seed, one after another, and prints for every metric
+Runs run.py once per seed, one after another, for BENCHMARK.json's
+run_seconds, and prints for every metric
 the median, the quartiles (statistics.quantiles, n=4), the spread (Q3 - Q1)
 as a share of the median, and that share against a third of the metric's
 bound in BENCHMARK.json. The runs are kept in .perfbench/results/<label>-<workload>.json;
@@ -38,14 +39,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seeds, default=seeds("1-10"))
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--label", default="set1")
     parser.add_argument("--compare", default=None)
     args = parser.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     runs = []
     for seed in args.seeds:

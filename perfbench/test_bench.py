@@ -168,6 +168,22 @@ def test_inputs_follow_the_seed(name, tmp_path):
     assert main_input(3, "a") != main_input(4, "c")
 
 
+def test_setup_probe_loads_numpy_inside_its_timed_window(tmp_path):
+    # Importing setups.py must load no numpy, so that the probe's timed
+    # window holds every import a user's set-up pays for.
+    probe = ("import sys; sys.path.insert(0, 'perfbench'); import setups; "
+             "print('numpy' in sys.modules, 'magkit' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.split() == ["False", "False"]
+    # The probe builds the same input as the set-up in this process.
+    probed = small("analyze-tvg", tmp_path / "probe")
+    assert run.setup_seconds(probed) > 0
+    local = small("analyze-tvg", tmp_path / "local")
+    local.setup()
+    assert probed.read(probed.main) == local.read(local.main)
+
+
 def test_metric_names_match_benchmark_json():
     assert [w["name"] for w in BENCH["workloads"]] == list(workloads.WORKLOADS)
     assert [(m["name"], m["unit"]) for m in BENCH["per_layer"]] == tracing.PER_LAYER

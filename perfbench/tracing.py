@@ -12,8 +12,12 @@ Times are taken per scope: each pass, and one set-up. A layer's figure is
 its median self time per pass; a layer that no pass calls reports its
 self time in the set-up instead. Peak memory per call is measured in a
 forked child that repeats the call, so no allocation hook slows the
-traced passes, and the scalar rank bijections are timed per call on a fixed
-sample, since wrapping them would cost more than they do.
+traced passes. The scalar rank bijections and `SimpleMag.edges()` are not
+wrapped, since a span per call or per yielded edge would cost more than
+they do: the bijections are timed per call on a fixed sample, and `edges()`
+by draining the input a pass iterates, apart from the passes. Inside a pass,
+the iteration of `edges()` counts in the self time of the function that
+iterates it.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ COUNTS = ["topo.failing_pairs_built", "topo.failing_pairs_reported", "formats.ma
           "kproxy.compressed_bytes"]
 SCALAR_SAMPLE = 20000
 SCALAR_REPS = 5
+EDGES_REPS = 3
 
 
 def _span_names() -> list[str]:
@@ -53,7 +58,7 @@ def _span_names() -> list[str]:
     for module, functions in FUNCTIONS.items():
         names += [f"{module}.{f}" for f in functions]
     names.insert(names.index("randgen.generate") + 1, "randgen.generate_spatial")
-    return names + ["core.edges"] + [f"bitstring.{m}" for m in BITSTRING_METHODS]
+    return names + [f"bitstring.{m}" for m in BITSTRING_METHODS]
 
 
 SPANS = _span_names()
@@ -61,7 +66,8 @@ SPANS = _span_names()
 # Every per-layer metric a traced run prints, with its unit.
 PER_LAYER = (
     [(f"{name}_s", "s") for name in SPANS]
-    + [("cli.residual_s", "s"), ("core.edge_rank_us", "us"), ("core.edge_from_rank_us", "us")]
+    + [("cli.residual_s", "s"), ("core.edges_s", "s"), ("core.edge_rank_us", "us"),
+       ("core.edge_from_rank_us", "us")]
     + [(f"{name}_peak_mb", "MiB") for name in PEAKS]
     + [(name, "count") for name in COUNTS]
     + [("positions", "count"), ("present_edges", "count")]
@@ -113,22 +119,6 @@ class Tracer:
             return result
         return traced
 
-    def _wrap_generator(self, name: str, fn):
-        @functools.wraps(fn)
-        def traced(*args, **kwargs):
-            items = fn(*args, **kwargs)
-            while True:
-                self._stack.append(0.0)
-                start = time.perf_counter()
-                try:
-                    item = next(items)
-                except StopIteration:
-                    return
-                finally:
-                    self._close(name, start)
-                yield item
-        return traced
-
     def _replace(self, owner, attr: str, value) -> None:
         self._restore.append((owner, attr, owner.__dict__[attr]))
         setattr(owner, attr, value)
@@ -161,9 +151,6 @@ class Tracer:
             else:
                 traced = self._wrap(f"bitstring.{method}", original)
             self._replace(bitstring, method, traced)
-        simple_mag = sys.modules["magkit.core"].SimpleMag
-        self._replace(simple_mag, "edges",
-                      self._wrap_generator("core.edges", simple_mag.__dict__["edges"]))
 
     def uninstall(self) -> None:
         while self._restore:
@@ -226,6 +213,17 @@ def scalar_us(shape, ranks) -> tuple[float, float]:
         per_from_rank.append((middle - start) / len(ranks) * 1e6)
         per_rank.append((end - middle) / len(ranks) * 1e6)
     return statistics.median(per_rank), statistics.median(per_from_rank)
+
+
+def edges_s(g) -> float:
+    """Median seconds to drain `g.edges()`."""
+    times = []
+    for _ in range(EDGES_REPS):
+        start = time.perf_counter()
+        for _ in g.edges():
+            pass
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
 
 
 def layer_metrics(setup: Scope, passes: list[Scope]) -> dict[str, float]:

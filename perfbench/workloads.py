@@ -23,45 +23,29 @@ from pathlib import Path
 import numpy as np
 
 import reference as ref
-from magkit import cli, formats, snapshot, topo
+import setups
+from magkit import formats, snapshot, topo
 from magkit.core import SimpleMag
 
-# Generator keys of one run: seed n uses n*4 + k for its k-th input.
-KEYS_PER_SEED = 4
 
+class Workload(setups.Inputs):
+    """Inputs in `dir`, one pass as `ops()`, checks over a pass's results.
 
-class Workload:
-    """Inputs in `dir`, one pass as `ops()`, checks over a pass's results."""
+    `setup` builds the inputs through magkit; it is the workload's function
+    in setups.py, which the set-up probe runs on its own."""
 
     name = ""
     full_shape: tuple[int, ...] = ()
     main = "g.mcs"
+    # The input whose edges() a pass iterates, if any; the traced run times
+    # draining it apart from the passes.
+    edges_input: str | None = None
 
     def __init__(self, seed: int, dir: Path, shape: tuple[int, ...] | None = None):
-        self.seed = seed
-        self.dir = dir
-        self.shape = tuple(shape or self.full_shape)
-        self.cli_span = None  # set when traced: (span name, fn) -> fn()
-
-    def key(self, k: int) -> str:
-        return str(self.seed * KEYS_PER_SEED + k)
-
-    def path(self, name: str) -> str:
-        return str(self.dir / name)
-
-    def cli(self, name: str, *argv: str) -> None:
-        run = lambda: cli.main(list(argv))
-        code = self.cli_span(f"cli.{name}", run) if self.cli_span else run()
-        if code != 0:
-            raise RuntimeError(f"magkit {argv[0]} exited {code}")
-
-    def gen(self, out: str, key: int, shape=None, spatial=False) -> None:
-        aspects = ",".join(str(n) for n in (shape or self.shape))
-        argv = ["gen", "--aspects", aspects, "--p-edge", "1/2", "--seed", self.key(key)]
-        self.cli("gen", *argv, *(["--spatial"] if spatial else []), "-o", self.path(out))
+        super().__init__(seed, dir, tuple(shape or self.full_shape))
 
     def setup(self) -> None:
-        raise NotImplementedError
+        setups.SETUPS[self.name](self)
 
     def ops(self) -> list[tuple[str, callable]]:
         """(operation name, call) for one pass; a call returns its output:
@@ -139,9 +123,6 @@ class Analyze(Workload):
 class AnalyzeDense(Analyze):
     name = "analyze-dense"
 
-    def setup(self):
-        self.gen(self.main, 0)
-
 
 class AnalyzeTvg(Analyze):
     """The input is a snapshot TVG that carries every sequential coupling:
@@ -149,13 +130,6 @@ class AnalyzeTvg(Analyze):
     encode-snapshot --couplings and decode-snapshot."""
 
     name = "analyze-tvg"
-
-    def setup(self):
-        self.gen("spatial.mcs", 0, spatial=True)
-        self.cli("encode_snapshot", "encode-snapshot", self.path("spatial.mcs"),
-                 "--couplings", "-o", self.path("spatial.msc"))
-        self.cli("decode_snapshot", "decode-snapshot", self.path("spatial.msc"),
-                 "-o", self.path(self.main))
 
     def property_checks(self, report):
         n_v, n_t = self.shape
@@ -174,9 +148,7 @@ class Interchange(Workload):
 
     name = "interchange"
     full_shape = (16, 8, 8)
-
-    def setup(self):
-        self.gen("g.mcs", 0)
+    edges_input = "g.mcs"
 
     def ops(self):
         p = self.path
@@ -209,16 +181,10 @@ class Snapshot(Workload):
     name = "snapshot"
     full_shape = (128, 64)
     main = "general.mcs"
+    edges_input = "coupled.mcs"
 
     def interval_map(self) -> snapshot.IntervalMap:
-        # Steps of 2: (0, 2), (2, 4), ... up to the last instant that fits.
-        n_t = self.shape[1]
-        return snapshot.IntervalMap(tuple((t, t + 2) for t in range(0, n_t - 2, 2)))
-
-    def setup(self):
-        n_v, n_t = self.shape
-        self.gen("contracted.mcs", 2, shape=(n_v, len(self.interval_map())), spatial=True)
-        self.contracted = formats.read_mcs(self.read("contracted.mcs"))
+        return snapshot.IntervalMap(setups.interval_pairs(self.shape[1]))
 
     def ops(self):
         p = self.path
