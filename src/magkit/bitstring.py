@@ -97,7 +97,17 @@ class BitString:
             self.payload[index >> 3] &= ~mask
 
     def count(self) -> int:
-        return sum(b.bit_count() for b in self.payload)
+        return int.from_bytes(self.payload, "big").bit_count()
+
+    def take(self, indices: np.ndarray) -> np.ndarray:
+        """Bits at the given indices as a uint8 array."""
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and not (
+            0 <= indices.min() and indices.max() < self.bit_length
+        ):
+            raise RangeError(f"bit indices out of range [0, {self.bit_length})")
+        buf = np.frombuffer(self.payload, dtype=np.uint8)
+        return (buf[indices >> 3] >> (7 - (indices & 7)).astype(np.uint8)) & 1
 
     def to_bytes(self) -> bytes:
         return bytes(self.payload)

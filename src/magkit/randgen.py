@@ -22,6 +22,8 @@ from .errors import ArgumentError, ShapeError
 from .snapshot import spatial_positions
 
 SEED_BITS = 64
+# Philox words drawn per call: the draw buffer stays at 8 MiB whatever M is.
+WORD_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,13 @@ def generate(spec: GenSpec) -> SimpleMag:
     elif spec.p_num == spec.p_den:
         bits = np.ones(m, dtype=np.uint8)
     else:
-        threshold = (spec.p_num << SEED_BITS) // spec.p_den
-        bits = (presence_words(spec.seed, m) < np.uint64(threshold)).astype(np.uint8)
+        threshold = np.uint64((spec.p_num << SEED_BITS) // spec.p_den)
+        bits = np.empty(m, dtype=np.uint8)
+        words = np.random.Philox(key=spec.seed)
+        # Consecutive draws continue one stream, so chunking keeps the bits.
+        for lo in range(0, m, WORD_CHUNK):
+            hi = min(lo + WORD_CHUNK, m)
+            np.less(words.random_raw(hi - lo), threshold, out=bits[lo:hi])
     if spec.spatial_only:
         spatial = np.zeros(m, dtype=np.uint8)
         positions = spatial_positions(spec.shape)

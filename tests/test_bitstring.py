@@ -97,3 +97,23 @@ def test_count_and_eq():
     assert a == b
     b.set(0)
     assert a != b
+
+
+def test_count_and_take_against_per_byte_reference():
+    import random
+
+    import numpy as np
+
+    rng = random.Random(11)
+    for bit_length in [0, 1, 7, 8, 9, rng.randrange(100, 5000)]:
+        bs = BitString(bit_length)
+        for j in range(bit_length):
+            if rng.random() < 0.5:
+                bs.set(j)
+        assert bs.count() == sum(b.bit_count() for b in bs.payload)
+        indices = np.array([rng.randrange(bit_length) for _ in range(50)] if bit_length else [])
+        assert bs.take(indices).tolist() == [int(bs.get(int(j))) for j in indices]
+        with pytest.raises(RangeError):
+            bs.take(np.array([bit_length]))
+        with pytest.raises(RangeError):
+            bs.take(np.array([-1]))

@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from magkit.core import CompanionTuple
 from magkit.errors import ArgumentError, ShapeError
-from magkit.randgen import GenSpec, generate, presence_words
-from magkit.snapshot import is_spatial, spatial_edge_count
+from magkit.randgen import SEED_BITS, WORD_CHUNK, GenSpec, generate, presence_words
+from magkit.snapshot import is_spatial, spatial_edge_count, spatial_positions
 
 # Frozen Philox4x64 raw-word vectors: first four 64-bit outputs per key.
 # These pin the generation algorithm itself; a change here silently breaks
@@ -42,6 +43,22 @@ def test_golden_artifact_bytes():
     assert write_mcs(g).hex() == "4d435331020403b5e383fe4a7c4ff840"
     s = generate(GenSpec(CompanionTuple((4, 3)), 1, 2, 1, spatial_only=True))
     assert write_msc(encode_snapshot(s)).hex() == "4d534331040300a24840"
+
+
+def test_generate_across_word_chunks():
+    # M = 1,050,525 words: one full chunk and part of the next
+    shape = CompanionTuple((145, 10))
+    m = shape.possible_edges
+    assert WORD_CHUNK < m < 2 * WORD_CHUNK
+    threshold = (3 << SEED_BITS) // 8
+    expected = (presence_words(21, m) < np.uint64(threshold)).astype(np.uint8)
+    g = generate(GenSpec(shape, 3, 8, 21))
+    assert np.array_equal(g.bits.to_array(), expected)
+    spatial = np.zeros(m, dtype=np.uint8)
+    positions = spatial_positions(shape)
+    spatial[positions] = expected[positions]
+    s = generate(GenSpec(shape, 3, 8, 21, spatial_only=True))
+    assert np.array_equal(s.bits.to_array(), spatial)
 
 
 def test_probability_zero_and_one():

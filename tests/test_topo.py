@@ -3,6 +3,7 @@
 import json
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -10,8 +11,15 @@ from magkit.bitstring import BitString
 from magkit.core import CompanionTuple, SimpleMag, vertex_from_index
 from magkit.errors import ArgumentError, ShapeError
 from magkit.randgen import GenSpec, generate
-from magkit.snapshot import SnapshotPayload, coupling_positions, decode_snapshot
+from magkit.snapshot import (
+    SnapshotPayload,
+    coupling_positions,
+    decode_snapshot,
+    encode_snapshot,
+    is_spatial,
+)
 from magkit.topo import (
+    Adjacency,
     adjacency_rows,
     common_neighbor_count,
     common_neighbor_extremes,
@@ -282,3 +290,202 @@ def test_report_stable_and_complete():
     assert order1["snapshotLike"] is None
     assert order1["interdimensionalCensus"] == {}
     assert order1["diameter"] == "disconnected"
+
+
+# Differential tests: brute-force oracles kept beside the vectorized analyzers.
+
+
+def neighbor_sets(g):
+    n = g.shape.vertex_count
+    sets = {a: set() for a in range(n)}
+    for a, b in g.to_classical_edges():
+        sets[a].add(b)
+        sets[b].add(a)
+    return sets
+
+
+def reachability_oracle(g, aspect):
+    """The four-nested-loop definition: every pair with coordinate gap >= 3
+    needs a direct edge or a common neighbor >= 2 away from i or j."""
+    shape = g.shape
+    n = shape.vertex_count
+    coords = [vertex_from_index(shape, a)[aspect - 1] for a in range(n)]
+    n_k = shape.sizes[aspect - 1]
+    groups = [[a for a in range(n) if coords[a] == c] for c in range(n_k)]
+    neighbors = neighbor_sets(g)
+    failures = []
+    for i in range(n_k):
+        for j in range(i + 3, n_k):
+            for a in groups[i]:
+                for b in groups[j]:
+                    if b in neighbors[a]:
+                        continue
+                    if not any(
+                        abs(coords[w] - i) >= 2 or abs(coords[w] - j) >= 2
+                        for w in neighbors[a] & neighbors[b]
+                    ):
+                        failures.append(
+                            (vertex_from_index(shape, a), vertex_from_index(shape, b))
+                        )
+    return not failures, failures
+
+
+def coupled_tvg(sizes, seed):
+    spatial = generate(GenSpec(CompanionTuple(sizes), 1, 2, seed, spatial_only=True))
+    return decode_snapshot(encode_snapshot(spatial, implied_couplings=True))
+
+
+REACHABILITY_CASES = [
+    (random_mag(sizes, seed, 1, den), aspect)
+    for sizes in [(4, 6), (3, 7), (3, 5, 4), (2, 4, 5)]
+    for aspect in range(2, len(sizes) + 1)
+    for den in (8, 4, 2)
+    for seed in range(2)
+] + [(coupled_tvg(sizes, 3), 2) for sizes in [(3, 6), (4, 7), (2, 9)]]
+
+
+@pytest.mark.parametrize("g, aspect", REACHABILITY_CASES)
+def test_reachability_against_loop_oracle(g, aspect):
+    verdict, failures = verify_non_sequential_reachability(g, aspect)
+    expected_verdict, expected = reachability_oracle(g, aspect)
+    assert verdict == expected_verdict
+    assert len(failures) == len(expected)
+    assert list(failures) == expected
+    assert failures[:10] == expected[:10]
+    if expected:
+        assert failures[-1] == expected[-1]
+        assert failures[len(expected) // 2] == expected[len(expected) // 2]
+        with pytest.raises(IndexError):
+            failures[len(expected)]
+
+
+def mag_from_graph(sizes, graph):
+    g = SimpleMag(CompanionTuple(sizes))
+    for a, b in graph.edges():
+        g.set_edge(vertex_from_index(g.shape, a), vertex_from_index(g.shape, b))
+    return g
+
+
+def two_cliques():
+    graph = nx.complete_graph(4)
+    graph.add_edges_from(nx.complete_graph(range(4, 8)).edges())
+    return graph
+
+
+GRAPH_FAMILIES = {
+    "complete": ((4, 2), nx.complete_graph(8)),
+    "empty": ((4, 2), nx.empty_graph(8)),
+    "disconnected": ((4, 2), two_cliques()),
+    "star": ((3, 3), nx.star_graph(8)),
+    "dense": ((8, 4), nx.gnp_random_graph(32, 0.5, seed=2)),
+    "cycle": ((5, 2), nx.cycle_graph(10)),
+    "path": ((4, 3), nx.path_graph(12)),
+    "single": ((1,), nx.empty_graph(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_FAMILIES))
+def test_diameter_and_common_neighbors_against_networkx(name):
+    sizes, graph = GRAPH_FAMILIES[name]
+    g = mag_from_graph(sizes, graph)
+    n = g.shape.vertex_count
+    expected = nx.diameter(graph) if nx.is_connected(graph) else None
+    counts = [
+        len(list(nx.common_neighbors(graph, a, b)))
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
+    extremes = (min(counts), max(counts)) if counts else None
+    matrix = common_neighbor_matrix(g)
+    for form in (g, Adjacency(g)):
+        assert composite_diameter(form) == expected
+        assert common_neighbor_extremes(form) == extremes
+    assert matrix[np.triu_indices(n, 1)].tolist() == counts
+    assert matrix.diagonal().tolist() == [d for _, d in sorted(graph.degree())]
+
+
+def sequential_coupling_oracle(g):
+    """The has_edge loop over (node, i, j)."""
+    n_vertices, n_times = g.shape.sizes
+    for node in range(n_vertices):
+        for i in range(n_times):
+            for j in range(i + 1, n_times):
+                present = g.has_edge((node, i), (node, j))
+                if j == i + 1 and not present:
+                    return False, ("missing-coupling", ((node, i), (node, j)))
+                if j > i + 1 and present:
+                    return False, ("non-sequential-coupling", ((node, i), (node, j)))
+    return True, None
+
+
+def coupling_variants():
+    rng = np.random.default_rng(9)
+    for seed, sizes in enumerate([(3, 4), (5, 6), (4, 1), (1, 5), (6, 7)]):
+        yield random_mag(sizes, seed, 1, 8)
+        coupled = coupled_tvg(sizes, seed)
+        yield coupled
+        n_vertices, n_times = sizes
+        for _ in range(3):
+            node = int(rng.integers(n_vertices))
+            if n_times > 1:
+                i = int(rng.integers(n_times - 1))
+                cleared = coupled.copy()
+                cleared.set_edge((node, i), (node, i + 1), False)
+                yield cleared
+            if n_times > 2:
+                i = int(rng.integers(n_times - 2))
+                j = int(rng.integers(i + 2, n_times))
+                extra = coupled.copy()
+                extra.set_edge((node, i), (node, j))
+                yield extra
+
+
+def test_sequential_coupling_against_loop_oracle():
+    for g in coupling_variants():
+        assert is_sequentially_coupled(g) == sequential_coupling_oracle(g)
+        assert is_sequentially_coupled(Adjacency(g)) == sequential_coupling_oracle(g)
+
+
+def report_oracle(g, aspect):
+    """topo_report rebuilt from the oracles and networkx."""
+    shape = g.shape
+    n = shape.vertex_count
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(g.to_classical_edges())
+    degrees = [d for _, d in sorted(graph.degree())]
+    counts = [
+        len(list(nx.common_neighbors(graph, a, b)))
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
+    census = {str(k): 0 for k in range(2, shape.order + 1)}
+    for u, v in g.edges():
+        for k in range(2, shape.order + 1):
+            census[str(k)] += abs(u[k - 1] - v[k - 1]) >= 2
+    verdict, failures = reachability_oracle(g, aspect)
+    return {
+        "shape": list(shape.sizes),
+        "edgeCount": graph.number_of_edges(),
+        "degrees": degrees,
+        "maxDegreeDeviation": max(abs(d - (n - 1) / 2) for d in degrees),
+        "diameter": nx.diameter(graph) if nx.is_connected(graph) else "disconnected",
+        "minCommonNeighbors": min(counts),
+        "maxCommonNeighbors": max(counts),
+        "sequentiallyCoupled": sequential_coupling_oracle(g)[0],
+        "snapshotLike": all(is_spatial(u, v) for u, v in g.edges()),
+        "interdimensionalCensus": census,
+        "nonSequentialReachability": {
+            "aspect": aspect,
+            "verdict": verdict,
+            "failingPairCount": len(failures),
+            "failingPairs": [[list(u), list(v)] for u, v in failures[:10]],
+        },
+    }
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_report_against_oracle_report(seed):
+    for g in (random_mag((4, 6), seed, 1, 4), random_mag((5, 5), seed), coupled_tvg((3, 7), seed)):
+        expected = json.dumps(report_oracle(g, 2), sort_keys=True)
+        assert json.dumps(topo_report(g, reachability_aspect=2), sort_keys=True) == expected
