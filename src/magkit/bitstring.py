@@ -84,6 +84,14 @@ class BitString:
         if not 0 <= index < self.bit_length:
             raise RangeError(f"bit index {index} out of range [0, {self.bit_length})")
 
+    def _checked(self, indices: np.ndarray) -> np.ndarray:
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.size and not (
+            0 <= indices.min() and indices.max() < self.bit_length
+        ):
+            raise RangeError(f"bit indices out of range [0, {self.bit_length})")
+        return indices
+
     def get(self, index: int) -> bool:
         self._check(index)
         return bool(self.payload[index >> 3] & (0x80 >> (index & 7)))
@@ -101,13 +109,15 @@ class BitString:
 
     def take(self, indices: np.ndarray) -> np.ndarray:
         """Bits at the given indices as a uint8 array."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and not (
-            0 <= indices.min() and indices.max() < self.bit_length
-        ):
-            raise RangeError(f"bit indices out of range [0, {self.bit_length})")
+        indices = self._checked(indices)
         buf = np.frombuffer(self.payload, dtype=np.uint8)
         return (buf[indices >> 3] >> (7 - (indices & 7)).astype(np.uint8)) & 1
+
+    def set_many(self, indices: np.ndarray) -> None:
+        """Set the bits at the given indices to 1."""
+        indices = self._checked(indices)
+        buf = np.frombuffer(self.payload, dtype=np.uint8)
+        np.bitwise_or.at(buf, indices >> 3, (0x80 >> (indices & 7)).astype(np.uint8))
 
     def to_bytes(self) -> bytes:
         return bytes(self.payload)

@@ -15,6 +15,11 @@ bijections that depend only on those sizes, never on which edges exist:
 A SimpleMag is a shape plus one presence bit per possible composite edge in
 rank order; that bit sequence is the MAG's characteristic string.
 
+Both bijections exist twice: as scalar functions for the public per-edge
+API, and as one array kernel (pairs_from_ranks, ranks_from_pairs,
+coords_from_indices, indices_from_coords) that every pass over the present
+edges goes through, block by block (SimpleMag.rank_blocks).
+
 All indices are 0-based.
 """
 
@@ -23,6 +28,8 @@ from __future__ import annotations
 import sys
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .bitstring import BitString
 from .errors import (
@@ -78,25 +85,28 @@ class CompanionTuple:
         return f"CompanionTuple({self.sizes})"
 
 
-def _check_coords(shape: CompanionTuple, coords: Sequence[int]) -> Coords:
-    coords = tuple(int(c) for c in coords)
+def vertex_index(shape: CompanionTuple, coords: Sequence[int]) -> int:
+    """Mixed-radix index of a composite vertex, first aspect fastest."""
     if len(coords) != shape.order:
         raise ShapeError(
             f"composite vertex has {len(coords)} coordinates, shape expects {shape.order}"
         )
-    for c, n in zip(coords, shape.sizes):
-        if not 0 <= c < n:
-            raise ShapeError(f"coordinate {c} out of range [0, {n}) in {coords}")
-    return coords
-
-
-def vertex_index(shape: CompanionTuple, coords: Sequence[int]) -> int:
-    """Mixed-radix index of a composite vertex, first aspect fastest."""
-    coords = _check_coords(shape, coords)
     idx = 0
-    for c, stride in zip(coords, shape.strides):
+    for c, n, stride in zip(coords, shape.sizes, shape.strides):
+        c = int(c)
+        if not 0 <= c < n:
+            coords = tuple(int(x) for x in coords)
+            raise ShapeError(f"coordinate {c} out of range [0, {n}) in {coords}")
         idx += c * stride
     return idx
+
+
+def _coords(sizes: tuple[int, ...], index: int) -> Coords:
+    coords = []
+    for n in sizes:
+        index, c = divmod(index, n)
+        coords.append(c)
+    return tuple(coords)
 
 
 def vertex_from_index(shape: CompanionTuple, index: int) -> Coords:
@@ -106,38 +116,12 @@ def vertex_from_index(shape: CompanionTuple, index: int) -> Coords:
         raise RangeError(
             f"vertex index {index} out of range [0, {shape.vertex_count})"
         )
-    coords = []
-    for n in shape.sizes:
-        coords.append(index % n)
-        index //= n
-    return tuple(coords)
+    return _coords(shape.sizes, index)
 
 
 def possible_edge_count(shape: CompanionTuple) -> int:
     """(N^2 - N) / 2 possible unordered composite edges."""
     return shape.possible_edges
-
-
-def _pair_rank(n_vertices: int, a: int, b: int) -> int:
-    # Lexicographic rank of pair (a, b), a < b, over [0, n_vertices).
-    return a * n_vertices - a * (a + 1) // 2 + (b - a - 1)
-
-
-def _row_start(n_vertices: int, a: int) -> int:
-    # Rank of pair (a, a+1): where row a of the upper triangle begins.
-    return a * n_vertices - a * (a + 1) // 2
-
-
-def _pair_from_rank(n_vertices: int, rank: int) -> tuple[int, int]:
-    # Closed-form row via isqrt, then a correction step for the two floors.
-    disc = (2 * n_vertices - 1) ** 2 - 8 * rank
-    a = (2 * n_vertices - 1 - isqrt(disc)) // 2
-    while a > 0 and _row_start(n_vertices, a) > rank:
-        a -= 1
-    while _row_start(n_vertices, a + 1) <= rank:
-        a += 1
-    b = rank - _row_start(n_vertices, a) + a + 1
-    return a, b
 
 
 def edge_rank(shape: CompanionTuple, u: Sequence[int], v: Sequence[int]) -> int:
@@ -151,7 +135,7 @@ def edge_rank(shape: CompanionTuple, u: Sequence[int], v: Sequence[int]) -> int:
         raise SelfLoopError(f"self-loop at composite vertex {tuple(u)}")
     if a > b:
         a, b = b, a
-    return _pair_rank(shape.vertex_count, a, b)
+    return a * shape.vertex_count - a * (a + 1) // 2 + (b - a - 1)
 
 
 def edge_from_rank(shape: CompanionTuple, rank: int) -> tuple[Coords, Coords]:
@@ -161,8 +145,50 @@ def edge_from_rank(shape: CompanionTuple, rank: int) -> tuple[Coords, Coords]:
         raise RangeError(
             f"edge rank {rank} out of range [0, {shape.possible_edges})"
         )
-    a, b = _pair_from_rank(shape.vertex_count, rank)
-    return vertex_from_index(shape, a), vertex_from_index(shape, b)
+    # Counted from the last rank, rows of the upper triangle are 1, 2, 3, ...
+    # long, so the row is the exact triangular root of that count.
+    t = shape.possible_edges - 1 - rank
+    j = (isqrt(8 * t + 1) - 1) // 2
+    a = shape.vertex_count - 2 - j
+    b = shape.vertex_count - 1 - (t - j * (j + 1) // 2)
+    return _coords(shape.sizes, a), _coords(shape.sizes, b)
+
+
+# The array kernel: the same bijections on int64 arrays, exact for every
+# vertex count N <= 2**31 (every product below stays under 2**62). Inputs
+# are assumed in range; callers check them.
+
+# Ranks per array that rank_blocks yields: bounds the memory of every
+# pass that walks the present edges.
+BLOCK = 1 << 15
+
+
+def ranks_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ranks of the pairs (a, b), a < b, over vertex indices [0, n)."""
+    a = np.asarray(a, dtype=np.int64)
+    return a * n - a * (a + 1) // 2 + (np.asarray(b, dtype=np.int64) - a - 1)
+
+
+def pairs_from_ranks(n: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ranks_from_pairs: the arrays (a, b), a < b."""
+    t = (n * (n - 1) // 2 - 1) - np.asarray(ranks, dtype=np.int64)
+    # Float triangular root of the count from the last rank, then one step
+    # that corrects the floor by at most one either way.
+    j = ((np.sqrt(8.0 * t + 1.0) - 1.0) // 2).astype(np.int64)
+    j -= j * (j + 1) // 2 > t
+    j += (j + 1) * (j + 2) // 2 <= t
+    return n - 2 - j, n - 1 - (t - j * (j + 1) // 2)
+
+
+def coords_from_indices(shape: CompanionTuple, idx: np.ndarray) -> np.ndarray:
+    """(k, p) coordinates of k vertex indices."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return idx[:, None] // np.array(shape.strides) % np.array(shape.sizes)
+
+
+def indices_from_coords(shape: CompanionTuple, coords: np.ndarray) -> np.ndarray:
+    """Vertex indices of coordinates whose last axis runs over the p aspects."""
+    return (np.asarray(coords, dtype=np.int64) * np.array(shape.strides)).sum(axis=-1)
 
 
 class SimpleMag:
@@ -206,23 +232,39 @@ class SimpleMag:
     def edge_count(self) -> int:
         return self.bits.count()
 
+    def rank_blocks(self) -> Iterator[np.ndarray]:
+        """Ranks of present edges in ascending order, as int64 arrays of at
+        most BLOCK ranks; unpacks BLOCK payload bytes at a time."""
+        payload = np.frombuffer(self.bits.payload, dtype=np.uint8)
+        for lo in range(0, payload.size, BLOCK):
+            window = payload[lo : lo + BLOCK]
+            nonzero = np.flatnonzero(window)
+            bits = np.flatnonzero(np.unpackbits(window[nonzero]))
+            ranks = (nonzero[bits >> 3] + lo) * 8 + (bits & 7)
+            for start in range(0, ranks.size, BLOCK):
+                yield ranks[start : start + BLOCK]
+
     def present_ranks(self) -> Iterator[int]:
         """Ranks of present edges in ascending order."""
-        for byte_index, byte in enumerate(self.bits.payload):
-            while byte:
-                top = 7 - (byte.bit_length() - 1)
-                yield byte_index * 8 + top
-                byte &= ~(0x80 >> top)
+        for ranks in self.rank_blocks():
+            yield from ranks.tolist()
 
     def edges(self) -> Iterator[tuple[Coords, Coords]]:
         """Present edges in rank order, smaller-index endpoint first."""
-        for rank in self.present_ranks():
-            yield edge_from_rank(self.shape, rank)
+        for ranks in self.rank_blocks():
+            a, b = pairs_from_ranks(self.shape.vertex_count, ranks)
+            yield from zip(
+                map(tuple, coords_from_indices(self.shape, a).tolist()),
+                map(tuple, coords_from_indices(self.shape, b).tolist()),
+            )
 
     def to_classical_edges(self) -> list[tuple[int, int]]:
         """Edge list of the order-1 image over vertex indices [0, N)."""
-        n = self.shape.vertex_count
-        return [_pair_from_rank(n, rank) for rank in self.present_ranks()]
+        edges = []
+        for ranks in self.rank_blocks():
+            a, b = pairs_from_ranks(self.shape.vertex_count, ranks)
+            edges += zip(a.tolist(), b.tolist())
+        return edges
 
     def copy(self) -> "SimpleMag":
         return SimpleMag(self.shape, self.bits.copy())

@@ -9,12 +9,31 @@ Text (.magt):   header line "mag p n_1 ... n_p", one line per present edge
 "e a_1 ... a_p b_1 ... b_p" with the smaller-vertex-index endpoint first and
 lines sorted by edge rank. "#" starts a comment; blank lines are ignored on
 read. Writing is canonical, reading is lenient about edge order.
+
+Both directions go through the array kernel of magkit.core, a block of
+edges or a chunk of text at a time. The reader checks each chunk in bulk;
+only when that check fails does it replay the chunk line by line, to raise
+the error of the first bad line.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import chain, compress, cycle
+
+import numpy as np
+
 from .bitstring import BitString, decode_uvarint, encode_uvarint
-from .core import CompanionTuple, SimpleMag, edge_from_rank, edge_rank
+from .core import (
+    CompanionTuple,
+    SimpleMag,
+    coords_from_indices,
+    edge_from_rank,
+    edge_rank,
+    indices_from_coords,
+    pairs_from_ranks,
+    ranks_from_pairs,
+)
 from .errors import (
     BadMagicError,
     DuplicateEdgeError,
@@ -59,10 +78,51 @@ def read_mcs(data: bytes) -> SimpleMag:
 
 
 def write_magt(g: SimpleMag) -> str:
-    lines = ["mag " + " ".join(str(n) for n in (g.shape.order, *g.shape.sizes))]
-    for u, v in g.edges():
-        lines.append("e " + " ".join(str(c) for c in (*u, *v)))
-    return "\n".join(lines) + "\n"
+    parts = ["mag " + " ".join(str(n) for n in (g.shape.order, *g.shape.sizes)) + "\n"]
+    for ranks in g.rank_blocks():
+        a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
+        parts.append(_edge_lines(np.hstack(
+            (coords_from_indices(g.shape, a), coords_from_indices(g.shape, b))
+        )))
+    return "".join(parts)
+
+
+def _edge_lines(values: np.ndarray) -> str:
+    """One line "e v_1 ... v_w" per row of a non-negative (k, w) int array."""
+    k, w = values.shape
+    width = len(str(int(values.max())))
+    power = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    v = values[:, :, None]
+    # Each value right-aligned in `width` digit slots; the zero bytes of the
+    # hidden leading zeros are dropped at the end.
+    fields = np.zeros((k, w, width + 1), dtype=np.uint8)
+    fields[:, :, 0] = ord(" ")
+    fields[:, :, 1:] = np.where((v >= power) | (power == 1), v // power % 10 + ord("0"), 0)
+    lines = np.empty((k, w * (width + 1) + 2), dtype=np.uint8)
+    lines[:, 0] = ord("e")
+    lines[:, 1:-1] = fields.reshape(k, -1)
+    lines[:, -1] = ord("\n")
+    return lines[lines != 0].tobytes().decode("ascii")
+
+
+# What str.splitlines breaks lines on: a comment ends at the first of these.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_COMMENT = re.compile(f"#[^{_LINE_BREAKS}]*")
+# Characters per chunk the reader splits into lines at once (about 2,000
+# edge lines of order 3). Its per-line Python objects cost far more memory
+# than the text they come from, so chunks stay small.
+_TEXT_CHUNK = 1 << 15
+
+
+def _text_chunks(text: str):
+    """Consecutive pieces of text, each but the last ending in "\n", so
+    that their lines are the lines of text."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _TEXT_CHUNK)
+        stop = len(text) if cut < 0 else cut + 1
+        yield text[start:stop]
+        start = stop
 
 
 def _ints(tokens: list[str], lineno: int) -> list[int]:
@@ -72,34 +132,65 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
         raise ParseError("expected integers", line=lineno) from None
 
 
-def read_magt(text: str) -> SimpleMag:
-    g = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if g is None:
-            if tokens[0] != "mag":
-                raise ParseError(f"expected 'mag' header, got {tokens[0]!r}", line=lineno)
-            fields = _ints(tokens[1:], lineno)
-            if not fields:
-                raise ParseError("header is missing the order", line=lineno)
-            order, sizes = fields[0], fields[1:]
-            if len(sizes) != order:
-                raise ParseError(
-                    f"header declares order {order} but lists {len(sizes)} sizes",
-                    line=lineno,
-                )
-            try:
-                g = SimpleMag(CompanionTuple(sizes))
-            except MagError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+def _header(tokens: list[str], lineno: int) -> SimpleMag:
+    if tokens[0] != "mag":
+        raise ParseError(f"expected 'mag' header, got {tokens[0]!r}", line=lineno)
+    fields = _ints(tokens[1:], lineno)
+    if not fields:
+        raise ParseError("header is missing the order", line=lineno)
+    order, sizes = fields[0], fields[1:]
+    if len(sizes) != order:
+        raise ParseError(
+            f"header declares order {order} but lists {len(sizes)} sizes",
+            line=lineno,
+        )
+    try:
+        return SimpleMag(CompanionTuple(sizes))
+    except MagError as exc:
+        raise ParseError(str(exc), line=lineno) from exc
+
+
+def _add_edges(g: SimpleMag, lines: list[list[str]]) -> bool:
+    """Set the edges of tokenized lines in g; False, with g unchanged, when
+    any line is not a valid edge line or repeats an edge."""
+    p = g.shape.order
+    width = 2 * p + 1
+    counts = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    if ((counts != 0) & (counts != width)).any():
+        return False
+    tokens = list(chain.from_iterable(lines))
+    if tokens[::width].count("e") != len(tokens) // width:
+        return False
+    try:
+        values = np.fromiter(
+            map(int, compress(tokens, cycle((False,) + (True,) * (2 * p)))),
+            dtype=np.int64,
+            count=len(tokens) // width * 2 * p,
+        ).reshape(-1, 2, p)
+    except (ValueError, OverflowError):
+        return False
+    if ((values < 0) | (values >= np.array(g.shape.sizes))).any():
+        return False
+    idx = indices_from_coords(g.shape, values)
+    a, b = idx.min(axis=1), idx.max(axis=1)
+    if (a == b).any():
+        return False
+    ranks = np.sort(ranks_from_pairs(g.shape.vertex_count, a, b))
+    if (ranks[1:] == ranks[:-1]).any() or g.bits.take(ranks).any():
+        return False
+    g.bits.set_many(ranks)
+    return True
+
+
+def _raise_first_error(g: SimpleMag, lines: list[list[str]], first_lineno: int):
+    """Raise the error of the first bad edge line, in file order."""
+    p = g.shape.order
+    for lineno, tokens in enumerate(lines, start=first_lineno):
+        if not tokens:
             continue
         if tokens[0] != "e":
             raise ParseError(f"expected 'e' line, got {tokens[0]!r}", line=lineno)
         coords = _ints(tokens[1:], lineno)
-        p = g.shape.order
         if len(coords) != 2 * p:
             raise ParseError(
                 f"edge line has {len(coords)} coordinates, expected {2 * p}",
@@ -113,6 +204,26 @@ def read_magt(text: str) -> SimpleMag:
             u, v = edge_from_rank(g.shape, rank)
             raise DuplicateEdgeError(f"edge {u} -- {v} repeated", line=lineno)
         g.bits.set(rank)
+    raise AssertionError("the bulk edge check rejected valid lines")
+
+
+def read_magt(text: str) -> SimpleMag:
+    g = None
+    lineno = 1  # number of the first line of the current chunk
+    for chunk in _text_chunks(text):
+        if "#" in chunk:
+            # a space, not nothing, so that "\r#...\n" stays two line breaks
+            chunk = _COMMENT.sub(" ", chunk)
+        lines = list(map(str.split, chunk.splitlines()))
+        start = 0
+        if g is None:
+            start = next((i for i, tokens in enumerate(lines) if tokens), len(lines))
+            if start < len(lines):
+                g = _header(lines[start], lineno + start)
+                start += 1
+        if g is not None and not _add_edges(g, lines[start:]):
+            _raise_first_error(g, lines[start:], lineno + start)
+        lineno += len(lines)
     if g is None:
         raise ParseError("no 'mag' header found")
     return g

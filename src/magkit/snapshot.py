@@ -22,7 +22,13 @@ from typing import Sequence
 import numpy as np
 
 from .bitstring import BitString, decode_uvarint, encode_uvarint
-from .core import CompanionTuple, SimpleMag, edge_from_rank
+from .core import (
+    CompanionTuple,
+    SimpleMag,
+    edge_from_rank,
+    pairs_from_ranks,
+    ranks_from_pairs,
+)
 from .errors import (
     BadMagicError,
     FormatError,
@@ -106,19 +112,29 @@ class SnapshotPayload:
         return CompanionTuple((self.n_vertices, self.n_times))
 
 
+def first_stray_rank(g: SimpleMag, implied_couplings: bool = False) -> int | None:
+    """Lowest rank of a present edge that is not spatial (nor, with
+    implied_couplings, a sequential coupling); None if there is none.
+
+    With time-major indexing, the pair (a, b) is spatial iff a // nV ==
+    b // nV, and a sequential coupling iff b == a + nV.
+    """
+    n_vertices, _ = _require_order2(g.shape)
+    for ranks in g.rank_blocks():
+        a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
+        stray = a // n_vertices != b // n_vertices
+        if implied_couplings:
+            stray &= b != a + n_vertices
+        if stray.any():
+            return int(ranks[stray.argmax()])
+    return None
+
+
 def first_non_spatial(g: SimpleMag, implied_couplings: bool = False):
     """Lowest-rank present edge that is not spatial (nor an allowed
     coupling); None if the MAG is snapshot-like."""
-    shape = g.shape
-    _require_order2(shape)
-    allowed = np.zeros(shape.possible_edges, dtype=bool)
-    allowed[spatial_positions(shape)] = True
-    if implied_couplings:
-        allowed[coupling_positions(shape)] = True
-    bad = g.bits.to_array().astype(bool) & ~allowed
-    if not bad.any():
-        return None
-    return edge_from_rank(shape, int(bad.argmax()))
+    rank = first_stray_rank(g, implied_couplings)
+    return None if rank is None else edge_from_rank(g.shape, rank)
 
 
 def require_snapshot_like(g: SimpleMag, implied_couplings: bool = False) -> None:
@@ -253,25 +269,39 @@ def contract_intervals(g: SimpleMag, interval_map: IntervalMap) -> SimpleMag:
             f"interval map reaches instant {interval_map.pairs[-1][1]}, "
             f"MAG has {n_times}"
         )
-    index_of = {pair: k for k, pair in enumerate(interval_map.pairs)}
-    out = SimpleMag(CompanionTuple((n_vertices, len(interval_map))))
-    for u, v in g.edges():
+    firsts, lasts = np.array(interval_map.pairs).T
+    interval_at = np.full(n_times, -1)  # interval index by its first instant
+    interval_at[firsts] = np.arange(len(firsts))
+    n_blocks = len(interval_map)
+    out = SimpleMag(CompanionTuple((n_vertices, n_blocks)))
+    for ranks in g.rank_blocks():
+        a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
+        u, t_u = a % n_vertices, a // n_vertices
+        v, t_v = b % n_vertices, b // n_vertices
         # canonical edge order puts the earlier instant first (time-major)
-        k = index_of.get((u[1], v[1]))
-        if k is None:
-            raise NotIntervalRestrictedError(
-                f"edge {u} -- {v} does not span a mapped interval", edge=(u, v)
-            )
-        if u[0] == v[0]:
-            raise NotIntervalRestrictedError(
-                f"coupling edge {u} -- {v} has no spatial image", edge=(u, v)
-            )
-        if u[0] > v[0]:
-            raise NotIntervalRestrictedError(
-                f"edge {u} -- {v} is not canonically oriented", edge=(u, v)
-            )
-        out.set_edge((u[0], k), (v[0], k))
+        k = interval_at[t_u]
+        bad = (k < 0) | (lasts[k] != t_v) | (u >= v)
+        if bad.any():
+            _raise_not_interval(g.shape, int(ranks[bad.argmax()]), interval_map)
+        out.bits.set_many(
+            ranks_from_pairs(n_vertices * n_blocks, u + k * n_vertices, v + k * n_vertices)
+        )
     return out
+
+
+def _raise_not_interval(shape: CompanionTuple, rank: int, interval_map: IntervalMap):
+    u, v = edge_from_rank(shape, rank)
+    if (u[1], v[1]) not in interval_map.pairs:
+        raise NotIntervalRestrictedError(
+            f"edge {u} -- {v} does not span a mapped interval", edge=(u, v)
+        )
+    if u[0] == v[0]:
+        raise NotIntervalRestrictedError(
+            f"coupling edge {u} -- {v} has no spatial image", edge=(u, v)
+        )
+    raise NotIntervalRestrictedError(
+        f"edge {u} -- {v} is not canonically oriented", edge=(u, v)
+    )
 
 
 def expand_intervals(
@@ -285,14 +315,20 @@ def expand_intervals(
         )
     if interval_map.pairs[-1][1] >= time_count:
         raise ShapeError("interval map reaches past the requested instant count")
+    firsts, lasts = np.array(interval_map.pairs).T
     out = SimpleMag(CompanionTuple((n_vertices, time_count)))
-    for u, v in g.edges():
-        if u[1] != v[1]:
-            raise NotSnapshotError(
-                f"edge {u} -- {v} is not spatial", edge=(u, v)
-            )
-        t_i, t_j = interval_map.pairs[u[1]]
-        out.set_edge((u[0], t_i), (v[0], t_j))
+    for ranks in g.rank_blocks():
+        a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
+        k = a // n_vertices
+        not_spatial = k != b // n_vertices
+        if not_spatial.any():
+            u, v = edge_from_rank(g.shape, int(ranks[not_spatial.argmax()]))
+            raise NotSnapshotError(f"edge {u} -- {v} is not spatial", edge=(u, v))
+        out.bits.set_many(ranks_from_pairs(
+            n_vertices * time_count,
+            a % n_vertices + firsts[k] * n_vertices,
+            b % n_vertices + lasts[k] * n_vertices,
+        ))
     return out
 
 
@@ -312,19 +348,21 @@ def check_multiplex_couplings(g: SimpleMag) -> CouplingCheck:
     """
     n_vertices, n_layers = _require_order2(g.shape)
     diagonal = True
-    for u, v in g.edges():
-        if u[1] != v[1] and u[0] != v[0]:
+    for ranks in g.rank_blocks():
+        a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
+        across = a // n_vertices != b // n_vertices
+        if (across & (a % n_vertices != b % n_vertices)).any():
             diagonal = False
             break
+    # One gather per layer alpha of its same-node pairs with every later layer.
+    node = np.arange(n_vertices, dtype=np.int64)[:, None]
     categorical = True
-    for node in range(n_vertices):
-        for alpha in range(n_layers):
-            for beta in range(alpha + 1, n_layers):
-                if not g.has_edge((node, alpha), (node, beta)):
-                    categorical = False
-                    break
-            if not categorical:
-                break
-        if not categorical:
+    for alpha in range(n_layers - 1):
+        beta = np.arange(alpha + 1, n_layers)
+        same_node = ranks_from_pairs(
+            g.shape.vertex_count, node + alpha * n_vertices, node + beta * n_vertices
+        )
+        if not g.bits.take(same_node.ravel()).all():
+            categorical = False
             break
     return CouplingCheck(diagonal, categorical, True)

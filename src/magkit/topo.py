@@ -24,11 +24,12 @@ import numpy as np
 from .core import (
     CompanionTuple,
     SimpleMag,
+    ranks_from_pairs,
     vertex_from_index,
     vertex_index,
 )
 from .errors import ArgumentError, ShapeError
-from .snapshot import coupling_positions, spatial_positions
+from .snapshot import first_stray_rank
 
 _MATMUL_BLOCK = 256
 
@@ -205,7 +206,7 @@ def is_sequentially_coupled(g: SimpleMag | Adjacency):
     node = np.arange(n_vertices, dtype=np.int64)[:, None]
     a = (node + i * n_vertices).ravel()
     b = (node + j * n_vertices).ravel()
-    ranks = a * n - a * (a + 1) // 2 + (b - a - 1)
+    ranks = ranks_from_pairs(n, a, b)
     sequential = np.broadcast_to(j == i + 1, (n_vertices, i.size)).ravel()
     violations = np.flatnonzero(g.bits.take(ranks) != sequential)
     if violations.size == 0:
@@ -220,16 +221,7 @@ def is_sequentially_coupled(g: SimpleMag | Adjacency):
 def is_snapshot_like(g: SimpleMag | Adjacency, implied_couplings: bool = False) -> bool:
     """True iff every present edge is spatial (or a sequential coupling
     when implied_couplings), i.e. the snapshot encoder would accept g."""
-    g = _mag(g)
-    shape = g.shape
-    if shape.order != 2:
-        raise ShapeError(f"expected a second-order MAG, got order {shape.order}")
-    allowed = np.zeros(shape.possible_edges, dtype=bool)
-    allowed[spatial_positions(shape)] = True
-    if implied_couplings:
-        allowed[coupling_positions(shape)] = True
-    present = g.bits.to_array().astype(bool)
-    return not (present & ~allowed).any()
+    return first_stray_rank(_mag(g), implied_couplings) is None
 
 
 def is_non_sequential_interdimensional(

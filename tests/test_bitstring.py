@@ -117,3 +117,27 @@ def test_count_and_take_against_per_byte_reference():
             bs.take(np.array([bit_length]))
         with pytest.raises(RangeError):
             bs.take(np.array([-1]))
+
+
+def test_set_many_against_per_bit_set():
+    import random
+
+    import numpy as np
+
+    rng = random.Random(12)
+    for bit_length in [1, 7, 8, 9, rng.randrange(100, 5000)]:
+        bs = BitString(bit_length)
+        bs.set(rng.randrange(bit_length))
+        expected = bs.copy()
+        indices = [rng.randrange(bit_length) for _ in range(60)]  # with repeats
+        for j in indices:
+            expected.set(j)
+        bs.set_many(np.array(indices))
+        assert bs == expected
+        bs.set_many(np.array([], dtype=np.int64))
+        assert bs == expected
+        with pytest.raises(RangeError):
+            bs.set_many(np.array([0, bit_length]))
+        with pytest.raises(RangeError):
+            bs.set_many(np.array([-1]))
+        assert bs == expected

@@ -1,15 +1,26 @@
 """Canonical indexing, SimpleMag storage, and the classical-graph image."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from magkit.bitstring import BitString
 from magkit.core import (
+    BLOCK,
     CompanionTuple,
     SimpleMag,
+    coords_from_indices,
     edge_from_rank,
     edge_rank,
+    indices_from_coords,
+    pairs_from_ranks,
     possible_edge_count,
+    ranks_from_pairs,
     vertex_from_index,
     vertex_index,
 )
@@ -19,6 +30,7 @@ from magkit.errors import (
     SelfLoopError,
     ShapeError,
 )
+from magkit.randgen import GenSpec, generate
 
 
 def enumerate_vertices(sizes):
@@ -269,3 +281,106 @@ def test_edges_iterator_order_and_shape_mismatch():
         assert vertex_index(shape, u) < vertex_index(shape, v)
     with pytest.raises(ShapeError):
         g.has_edge((0, 0, 0), (1, 0, 0))
+
+
+# The array kernel against the scalar bijections and the per-edge oracles.
+
+MAX_N = 2**31 - 1
+
+
+@st.composite
+def kernel_cases(draw):
+    """A shape of order 1-3 with N <= 2**31 - 1 and ranks at, just before
+    and just after row starts, plus the first and last rank."""
+    order = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(2, MAX_N))]
+    for _ in range(order - 1):
+        sizes.append(draw(st.integers(1, max(1, MAX_N // math.prod(sizes)))))
+    shape = CompanionTuple(sizes)
+    n, m = shape.vertex_count, shape.possible_edges
+    ranks = [0, m - 1]
+    for a in draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=20)):
+        start = a * n - a * (a + 1) // 2
+        ranks += [r for r in (start - 1, start, start + 1) if 0 <= r < m]
+    return shape, ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_scalar_bijections(case):
+    shape, ranks = case
+    n = shape.vertex_count
+    a, b = pairs_from_ranks(n, np.array(ranks))
+    expected = [edge_from_rank(shape, r) for r in ranks]
+    assert coords_from_indices(shape, a).tolist() == [list(u) for u, _ in expected]
+    assert coords_from_indices(shape, b).tolist() == [list(v) for _, v in expected]
+    assert indices_from_coords(shape, coords_from_indices(shape, a)).tolist() == a.tolist()
+    assert ranks_from_pairs(n, a, b).tolist() == ranks
+    assert ranks == [edge_rank(shape, u, v) for u, v in expected]
+    assert expected == [oracles.edge_from_rank(shape, r) for r in ranks]
+
+
+def test_kernel_rows_at_the_int64_limit():
+    # every row start, and its neighbours, of the largest supported N near
+    # both ends of the triangle, where the float root is least exact
+    n = 2**31
+    rows = np.array([0, 1, 2, 3, n // 2 - 1, n // 2, n - 4, n - 3, n - 2], dtype=np.int64)
+    starts = rows * n - rows * (rows + 1) // 2
+    ranks = np.concatenate((starts - 1, starts, starts + 1))[1:-1]  # within [0, M)
+    a, b = pairs_from_ranks(n, ranks)
+    assert list(zip(a.tolist(), b.tolist())) == [
+        oracles.pair_from_rank(n, int(r)) for r in ranks
+    ]
+    assert (ranks_from_pairs(n, a, b) == ranks).all()
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (7,), (5, 3), (4, 3, 2), (1, 6), (130, 1)])
+def test_kernel_exhaustive_small(sizes):
+    shape = CompanionTuple(sizes)
+    ranks = np.arange(shape.possible_edges)
+    a, b = pairs_from_ranks(shape.vertex_count, ranks)
+    assert list(zip(a.tolist(), b.tolist())) == enumerate_pairs(shape.vertex_count)
+    assert (ranks_from_pairs(shape.vertex_count, a, b) == ranks).all()
+    idx = np.arange(shape.vertex_count)
+    coords = coords_from_indices(shape, idx)
+    assert [tuple(c) for c in coords.tolist()] == enumerate_vertices(sizes)
+    assert (indices_from_coords(shape, coords) == idx).all()
+
+
+@pytest.mark.parametrize("sizes,p", [
+    ((4, 3), (1, 2)), ((6, 5, 2), (1, 8)), ((23,), (1, 1)), ((9, 9), (0, 1)),
+    ((700,), (1, 2)), ((40, 30), (1, 64)),
+])
+def test_present_edges_match_per_byte_oracle(sizes, p):
+    g = generate(GenSpec(CompanionTuple(sizes), p[0], p[1], 5))
+    ranks = list(oracles.present_ranks(g))
+    assert list(g.present_ranks()) == ranks
+    assert list(g.edges()) == oracles.edges(g)
+    assert g.to_classical_edges() == [
+        oracles.pair_from_rank(g.shape.vertex_count, r) for r in ranks
+    ]
+
+
+def test_rank_blocks_are_bounded_and_ascending():
+    # a complete MAG whose payload spans several windows of BLOCK bytes,
+    # each window holding more than BLOCK present ranks
+    shape = CompanionTuple((1100,))
+    g = SimpleMag(shape, BitString.from_array(np.ones(shape.possible_edges, np.uint8)))
+    blocks = list(g.rank_blocks())
+    assert all(0 < block.size <= BLOCK for block in blocks)
+    assert (np.concatenate(blocks) == np.arange(shape.possible_edges)).all()
+    assert g.to_classical_edges() == enumerate_pairs(shape.vertex_count)
+    assert list(SimpleMag(shape).rank_blocks()) == []
+
+
+def test_scalar_errors_match_oracle():
+    shape = CompanionTuple((3, 2))
+    for coords in [(3, 0), (0, 2), (-1, 0), (5, 9), (0,), (0, 0, 0)]:
+        with pytest.raises(ShapeError) as new:
+            vertex_index(shape, coords)
+        with pytest.raises(ShapeError) as old:
+            oracles.vertex_index(shape, coords)
+        assert str(new.value) == str(old.value)
+    with pytest.raises(SelfLoopError) as info:
+        edge_rank(shape, [1, 1], [1, 1])
+    assert str(info.value) == "self-loop at composite vertex (1, 1)"

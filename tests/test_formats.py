@@ -1,12 +1,19 @@
 """Binary and text characteristic-string formats."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from magkit import formats
 from magkit.bitstring import encode_uvarint
-from magkit.core import CompanionTuple, SimpleMag, edge_from_rank
+from magkit.core import CompanionTuple, SimpleMag, edge_from_rank, edge_rank
 from magkit.errors import (
     BadMagicError,
     DuplicateEdgeError,
+    MagError,
     ParseError,
     PaddingError,
     TrailingDataError,
@@ -123,21 +130,24 @@ def test_magt_duplicate_edge():
     assert info.value.line == 3
 
 
-def test_magt_fuzz_never_crashes():
+def fuzz_corpus(alphabet="mage 0123456789#\n\t-x", seed=31337, count=500):
+    """Random character mutations of one small .magt text."""
     import random
 
-    from magkit.errors import MagError
-
-    rng = random.Random(31337)
+    rng = random.Random(seed)
     base = write_magt(random_mag((5, 3), 2))
-    alphabet = "mage 0123456789#\n\t-x"
-    for _ in range(500):
+    for _ in range(count):
         chars = list(base)
         for _ in range(rng.randint(1, 6)):
             pos = rng.randrange(len(chars))
             chars[pos] = rng.choice(alphabet)
+        yield "".join(chars)
+
+
+def test_magt_fuzz_never_crashes():
+    for text in fuzz_corpus():
         try:
-            read_magt("".join(chars))
+            read_magt(text)
         except MagError:
             pass
 
@@ -155,3 +165,101 @@ def test_cross_format_bit_membership():
     for j in range(g.shape.possible_edges):
         bit = bool(payload[j // 8] & (0x80 >> (j % 8)))
         assert bit == (edge_from_rank(g.shape, j) in text_edges)
+
+
+# The array codec against the per-edge oracle.
+
+
+def outcome(read, text):
+    """What a reader makes of text: the MAG's bytes, or the error raised."""
+    try:
+        return "ok", write_mcs(read(text))
+    except MagError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@st.composite
+def magt_cases(draw):
+    order = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(1, 6 if order > 1 else 60)) for _ in range(order)]
+    if draw(st.booleans()):  # coordinates of several digits, zeros inside
+        sizes[-1] = draw(st.sampled_from([10, 11, 100, 101]))
+        sizes[:-1] = [min(n, 2) for n in sizes[:-1]]
+    p = draw(st.sampled_from([(0, 1), (1, 8), (1, 2), (1, 1)]))
+    return generate(GenSpec(CompanionTuple(sizes), p[0], p[1], draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(magt_cases())
+def test_write_magt_matches_oracle(g):
+    text = write_magt(g)
+    assert text == oracles.write_magt(g)
+    assert read_magt(text) == g
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 40])
+def test_read_magt_matches_oracle_on_fuzz_corpus(chunk, monkeypatch):
+    if chunk:  # many chunks per text, cut at every line or every few
+        monkeypatch.setattr(formats, "_TEXT_CHUNK", chunk)
+    for text in fuzz_corpus():
+        assert outcome(read_magt, text) == outcome(oracles.read_magt, text)
+    # other line breaks, integer spellings and non-ASCII whitespace
+    for text in fuzz_corpus("mage 0123456789#\n\r\x0c+_\xa0\u0663-x", seed=5, count=1000):
+        assert outcome(read_magt, text) == outcome(oracles.read_magt, text)
+
+
+@functools.cache
+def chunk_texts():
+    """Texts of about 8,000 edge lines, read in several chunks: name ->
+    (text, whether it is valid)."""
+    g = random_mag((8, 8, 4), 3, p=(1, 4))
+    g.bits.set(edge_rank(g.shape, (1, 0, 0), (3, 0, 0)), False)
+    text = write_magt(g)
+    lines = text.splitlines(keepends=True)
+    late = len(lines) - 5
+    u = lines[late].split()[1:]
+    mirrored = "e " + " ".join(u[3:] + u[:3]) + "\n"
+    return {
+        "plain": (text, True),
+        "CRLF and comments": ("".join(
+            line.rstrip("\n") + (" # c\r\n" if i % 3 else "\r\n")
+            + "# only a comment\r\n" * (i % 7 == 0)
+            for i, line in enumerate(lines)), True),
+        "CR only": (text.replace("\n", "\r"), True),
+        "CR only and comments": (text.replace("\n", " # c\r"), True),
+        "comment lines after CR": (text.replace("\n", "\r# c\n") + "e 0 0 0 8 0 0\n", False),
+        "other line breaks": (
+            text.replace("\n", "\x0c", 3).replace("\n", "\u2028", 3), True),
+        "non-ASCII comments and spaces": ("".join(
+            line.replace(" ", "\xa0", 1).rstrip("\n") + " # caf\xe9\n" for line in lines),
+            True),
+        "header after a chunk of comments": ("# pad\n" * 8000 + "\n \n" + text, True),
+        "integer spellings in a later chunk": (text + "e +1 0_0 00 \u0663 0 -0\n", True),
+        "comments only": ("# nothing\n" * 12000, False),
+        "duplicate across chunks": ("".join(lines[:late] + [lines[2]] + lines[late:]), False),
+        "mirrored duplicate across chunks": (
+            "".join(lines[:20] + [mirrored] + lines[20:]), False),
+        "bad token in a later chunk": ("".join(
+            lines[:late] + [lines[late].replace(" ", " x", 1)] + lines[late + 1:]), False),
+        "first of two errors": ("".join(
+            lines[:late] + ["e 0 0 0 0 0 0\n"] + lines[late:-1] + ["e 1\n"]), False),
+        "range error in a later chunk": (text + "e 0 0 0 8 0 0\n", False),
+        "huge coordinate": (text + "e 0 0 0 99999999999999999999 0 0\n", False),
+        "negative coordinate": (text + "e 0 0 0 -1 0 0\n", False),
+        "second header": ("".join(lines[:late] + ["mag 3 8 8 4\n"] + lines[late:]), False),
+        "joined lines": (text.replace("\n", " ", 3), False),
+    }
+
+
+@pytest.mark.parametrize("name", list(chunk_texts()))
+def test_read_magt_matches_oracle_across_chunks(name):
+    text, valid = chunk_texts()[name]
+    assert len(text) > 3 * formats._TEXT_CHUNK
+    result = outcome(read_magt, text)
+    assert result == outcome(oracles.read_magt, text)
+    assert (result[0] == "ok") == valid
+
+
+def test_line_breaks_are_those_of_splitlines():
+    breaks = [chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2]
+    assert sorted(breaks) == sorted(formats._LINE_BREAKS)

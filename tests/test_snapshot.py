@@ -5,10 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from magkit.bitstring import BitString
-from magkit.core import CompanionTuple, SimpleMag, edge_from_rank
+from magkit.core import CompanionTuple, SimpleMag, edge_from_rank, edge_rank
 from magkit.errors import (
     FormatError,
+    MagError,
     NotIntervalRestrictedError,
     NotSnapshotError,
     ShapeError,
@@ -24,6 +26,8 @@ from magkit.snapshot import (
     decode_snapshot,
     encode_snapshot,
     expand_intervals,
+    first_non_spatial,
+    first_stray_rank,
     is_spatial,
     msc_header_bits,
     read_msc,
@@ -31,6 +35,7 @@ from magkit.snapshot import (
     spatial_positions,
     write_msc,
 )
+from magkit.topo import is_snapshot_like
 
 
 def spatial_mag(sizes, seed):
@@ -319,3 +324,92 @@ def test_multiplex_checks():
 
     single_layer = SimpleMag(CompanionTuple((3, 1)))
     assert check_multiplex_couplings(single_layer).categorical
+
+
+# The array paths against the per-edge oracles.
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except MagError as exc:
+        return type(exc), str(exc), getattr(exc, "edge", None)
+
+
+def interval_mags(seed):
+    """(MAG, map) pairs over (6, 9): interval-restricted edges, then the
+    same with one stray edge each of every kind the contraction rejects."""
+    rng = np.random.default_rng(seed)
+    imap = IntervalMap(((0, 1), (1, 4), (4, 5), (5, 8)))
+    shape = CompanionTuple((6, 9))
+    base = SimpleMag(shape)
+    for i, j in imap.pairs:
+        for u in range(6):
+            for v in range(u + 1, 6):
+                if rng.random() < 0.5:
+                    base.set_edge((u, i), (v, j))
+    yield base, imap
+    strays = [((0, 1), (1, 2)), ((2, 3), (4, 3)), ((3, 1), (3, 4)), ((4, 1), (2, 4)),
+              ((5, 0), (0, 8)), ((0, 8), (1, 8))]
+    every = base.copy()
+    for u, v in strays:
+        g = base.copy()
+        g.set_edge(u, v)
+        every.set_edge(u, v)
+        yield g, imap
+    yield every, imap
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_contract_and_expand_match_oracle(seed):
+    for g, imap in interval_mags(seed):
+        result = outcome(contract_intervals, g, imap)
+        assert result == outcome(oracles.contract_intervals, g, imap)
+        if result[0] == "ok":
+            assert expand_intervals(result[1], imap, 9) == oracles.expand_intervals(
+                result[1], imap, 9)
+    for sizes in [(6, 4), (3, 2)]:  # contracted MAGs with strays across blocks
+        g = generate(GenSpec(CompanionTuple(sizes), 1, 8, seed))
+        imap = IntervalMap(tuple((i, i + 2) for i in range(0, 2 * sizes[1], 2)))
+        assert outcome(expand_intervals, g, imap, 2 * sizes[1] + 1) == outcome(
+            oracles.expand_intervals, g, imap, 2 * sizes[1] + 1)
+
+
+def coupling_mags():
+    yield SimpleMag(CompanionTuple((3, 2)))
+    for sizes, p in [((5, 4), (1, 8)), ((4, 3), (1, 2)), ((3, 1), (1, 2)), ((1, 5), (1, 1))]:
+        yield generate(GenSpec(CompanionTuple(sizes), p[0], p[1], 3))
+    for sizes in [(4, 2), (5, 3), (3, 6)]:
+        spatial = spatial_mag(sizes, 4)
+        yield spatial
+        coupled = decode_snapshot(encode_snapshot(spatial, implied_couplings=True))
+        yield coupled
+        every_layer = coupled.copy()  # every pair of layers coupled at every node
+        for node in range(sizes[0]):
+            for alpha, beta in itertools.combinations(range(sizes[1]), 2):
+                every_layer.set_edge((node, alpha), (node, beta))
+        yield every_layer
+        missing = every_layer.copy()
+        missing.set_edge((sizes[0] - 1, sizes[1] - 2), (sizes[0] - 1, sizes[1] - 1), False)
+        yield missing
+        for stray in [((0, 0), (1, 1)), ((1, 0), (1, sizes[1] - 1)), ((0, sizes[1] - 1), (2, 0))]:
+            for g in (spatial, coupled):
+                strayed = g.copy()
+                strayed.set_edge(*stray)
+                yield strayed
+
+
+def test_multiplex_checks_match_oracle():
+    for g in coupling_mags():
+        verdict = check_multiplex_couplings(g)
+        assert (verdict.diagonal, verdict.categorical) == oracles.check_multiplex_couplings(g)
+
+
+@pytest.mark.parametrize("implied", [False, True])
+def test_stray_edge_test_matches_mask_oracle(implied):
+    for g in coupling_mags():
+        expected = oracles.first_non_spatial(g, implied)
+        assert first_non_spatial(g, implied) == expected
+        assert is_snapshot_like(g, implied) == (expected is None)
+        if expected is not None:
+            assert first_stray_rank(g, implied) == edge_rank(g.shape, *expected)
