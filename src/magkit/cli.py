@@ -19,6 +19,7 @@ from pathlib import Path
 from . import kproxy, randgen, snapshot, topo
 from .core import CompanionTuple
 from .errors import (
+    ArgumentError,
     MagError,
     NotIntervalRestrictedError,
     NotSnapshotError,
@@ -129,10 +130,6 @@ def _cmd_info_gap(args) -> int:
     return EXIT_OK
 
 
-class ArgumentTypeUsage(Exception):
-    """Usage problem detected after argparse (exit code 2)."""
-
-
 def _cmd_convert(args) -> int:
     g = _read_graph(args.input)
     if args.out.endswith(".magt"):
@@ -140,7 +137,7 @@ def _cmd_convert(args) -> int:
     elif args.out.endswith(".mcs"):
         Path(args.out).write_bytes(write_mcs(g))
     else:
-        raise ArgumentTypeUsage(f"cannot infer format of {args.out!r}")
+        raise ArgumentError(f"cannot infer format of {args.out!r}")
     return EXIT_OK
 
 
@@ -226,8 +223,6 @@ def main(argv=None) -> int:
     except (NotSnapshotError, NotIntervalRestrictedError) as exc:
         return _fail(EXIT_DOMAIN, exc)
     except MagError as exc:
-        return _fail(EXIT_USAGE, exc)
-    except ArgumentTypeUsage as exc:
         return _fail(EXIT_USAGE, exc)
     except (OSError, MemoryError) as exc:
         return _fail(EXIT_IO, exc)

@@ -10,8 +10,9 @@ One adjacency is built once per report and shared by every analyzer: a
 dense uint8 matrix A, from which one blocked pass over A·A keeps the
 common-neighbor extremes and the distance <= 2 mask A ∨ A² (the matrix form
 of MAG traversal). The diameter and the non-sequential reachability are
-read off that mask; bitset BFS runs only as the diameter's fallback when
-some pair is farther than two apart.
+read off that mask. When some pair is farther than two apart, the diameter
+comes from the multi-source packed-word BFS of `magkit.traversal`, which
+starts every source at depth 2 from that mask.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
 )
 from .errors import ArgumentError, ShapeError
 from .snapshot import first_stray_rank
+from .traversal import bfs_diameter
 
 _MATMUL_BLOCK = 256
 
@@ -37,20 +39,13 @@ _MATMUL_BLOCK = 256
 class Adjacency:
     """The adjacency of one MAG, built once and read by every analyzer.
 
-    Holds the dense matrix; the row bitsets and the A·A pass are computed
-    on first use. Every public analyzer accepts either a SimpleMag or an
-    Adjacency.
+    Holds the dense matrix; the A·A pass is computed on first use. Every
+    public analyzer accepts either a SimpleMag or an Adjacency.
     """
 
     def __init__(self, g: SimpleMag):
         self.mag = g
         self.matrix = dense_adjacency(g)
-
-    @cached_property
-    def rows(self) -> list[int]:
-        """Row bitsets: bit b of row a is set iff edge {a, b} is present."""
-        packed = np.packbits(self.matrix, axis=1, bitorder="little")
-        return [int.from_bytes(row, "little") for row in packed]
 
     @property
     def within_two(self) -> np.ndarray:
@@ -99,7 +94,8 @@ def _square_blocks(matrix: np.ndarray):
 
 def adjacency_rows(g: SimpleMag | Adjacency) -> list[int]:
     """Row bitsets: bit b of row a is set iff edge {a, b} is present."""
-    return _adjacency(g).rows
+    packed = np.packbits(dense_adjacency(g), axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 def dense_adjacency(g: SimpleMag | Adjacency) -> np.ndarray:
@@ -127,7 +123,8 @@ def composite_diameter(g: SimpleMag | Adjacency) -> int | None:
     """Max BFS eccentricity over composite vertices; None if disconnected.
 
     1 when every pair is adjacent and 2 when every pair is within two
-    steps, read off A ∨ A²; bitset BFS otherwise.
+    steps, read off A ∨ A². Otherwise a multi-source BFS over packed
+    words (`traversal.bfs_diameter`) starts from A ∨ A² at depth 2.
     """
     adj = _adjacency(g)
     n = adj.matrix.shape[0]
@@ -135,30 +132,10 @@ def composite_diameter(g: SimpleMag | Adjacency) -> int | None:
         return 0
     if int(adj.matrix.sum(dtype=np.int64)) == n * (n - 1):
         return 1
-    if adj.within_two.all():
+    within = adj.within_two
+    if within.all():
         return 2
-    rows = adjacency_rows(adj)
-    full = (1 << n) - 1
-    diameter = 0
-    for source in range(n):
-        visited = 1 << source
-        frontier = visited
-        depth = 0
-        while frontier:
-            reach = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                reach |= rows[v]
-                f &= f - 1
-            frontier = reach & ~visited
-            if frontier:
-                visited |= frontier
-                depth += 1
-        if visited != full:
-            return None
-        diameter = max(diameter, depth)
-    return diameter
+    return bfs_diameter(adj.matrix, within)
 
 
 def common_neighbor_count(

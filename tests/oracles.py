@@ -2,7 +2,8 @@
 
 These are the straightforward one-edge-at-a-time versions of the rank
 bijections, the .magt codec, interval contraction, the coupling checks and
-the snapshot-likeness test. Tests compare the library against them; nothing
+the snapshot-likeness test, and the one-source-at-a-time bitset BFS
+diameter. Tests compare the library against them; nothing
 in the library imports this module.
 """
 
@@ -203,3 +204,34 @@ def first_non_spatial(g, implied_couplings=False):
     if not bad.any():
         return None
     return edge_from_rank(g.shape, int(bad.argmax()))
+
+
+def composite_diameter(g):
+    """Max eccentricity by one Python-int bitset BFS per source; None if
+    disconnected."""
+    n = g.shape.vertex_count
+    rows = [0] * n
+    for a, b in g.to_classical_edges():
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    full = (1 << n) - 1
+    diameter = 0
+    for source in range(n):
+        visited = 1 << source
+        frontier = visited
+        depth = 0
+        while frontier:
+            reach = 0
+            f = frontier
+            while f:
+                v = (f & -f).bit_length() - 1
+                reach |= rows[v]
+                f &= f - 1
+            frontier = reach & ~visited
+            if frontier:
+                visited |= frontier
+                depth += 1
+        if visited != full:
+            return None
+        diameter = max(diameter, depth)
+    return diameter

@@ -149,6 +149,14 @@ def test_convert_duplicate_edge_exit_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "DuplicateEdgeError"
 
 
+def test_convert_unknown_extension_exit_2(tmp_path, capsys):
+    src = tmp_path / "g.mcs"
+    assert run(["gen", "--aspects", "3,2", "--seed", "1", "-o", str(src)]) == 0
+    assert run(["convert", str(src), "-o", str(tmp_path / "g.txt")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ArgumentError"
+    assert not (tmp_path / "g.txt").exists()
+
+
 def test_missing_file_exit_1(tmp_path, capsys):
     assert run(["analyze", str(tmp_path / "nope.mcs")]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"

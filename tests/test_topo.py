@@ -2,13 +2,17 @@
 
 import json
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from magkit.bitstring import BitString
-from magkit.core import CompanionTuple, SimpleMag, vertex_from_index
+from magkit.core import CompanionTuple, SimpleMag, ranks_from_pairs, vertex_from_index
 from magkit.errors import ArgumentError, ShapeError
 from magkit.randgen import GenSpec, generate
 from magkit.snapshot import (
@@ -489,3 +493,126 @@ def test_report_against_oracle_report(seed):
     for g in (random_mag((4, 6), seed, 1, 4), random_mag((5, 5), seed), coupled_tvg((3, 7), seed)):
         expected = json.dumps(report_oracle(g, 2), sort_keys=True)
         assert json.dumps(topo_report(g, reachability_aspect=2), sort_keys=True) == expected
+
+
+# The multi-source packed-word BFS against the one-source bitset BFS oracle
+# and networkx, at sizes on both sides of the 64-bit word and the 256-source
+# block.
+
+BFS_SIZES = (63, 64, 65, 255, 256, 257, 300)
+
+
+def graph_mag(n, pairs):
+    """An order-1 MAG on vertices 0..n-1 with the given index pairs."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    g = SimpleMag(CompanionTuple((n,)))
+    g.bits.set_many(ranks_from_pairs(n, pairs.min(axis=1), pairs.max(axis=1)))
+    return g
+
+
+def path_pairs(vertices):
+    return list(zip(vertices[:-1], vertices[1:]))
+
+
+def shuffled_path(n, seed):
+    return path_pairs(np.random.default_rng(seed).permutation(n))
+
+
+def cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def cycle_isolating_middle(n):
+    return [(a, b) for a, b in cycle(n) if n // 2 not in (a, b)]
+
+
+def two_deep_components(n, joined, seed=0):
+    order = np.random.default_rng(seed).permutation(n)
+    half = n // 2
+    left, right = order[:half], order[half:]
+    pairs = path_pairs(left) + path_pairs(right)
+    if joined:
+        pairs.append((left[half // 2], right[right.size // 2]))
+    return pairs
+
+
+BFS_GRAPHS = {
+    "path": lambda n: shuffled_path(n, n),
+    "cycle": cycle,
+    "cycle-isolated": cycle_isolating_middle,
+    "two-joined": lambda n: two_deep_components(n, True, n),
+    "two-apart": lambda n: two_deep_components(n, False, n),
+}
+
+
+def expected_diameter(g):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.shape.vertex_count))
+    graph.add_edges_from(g.to_classical_edges())
+    return nx.diameter(graph) if nx.is_connected(graph) else None
+
+
+@pytest.mark.parametrize("n", BFS_SIZES)
+@pytest.mark.parametrize("family", sorted(BFS_GRAPHS))
+def test_diameter_of_deep_graphs(family, n):
+    g = graph_mag(n, BFS_GRAPHS[family](n))
+    expected = expected_diameter(g)
+    assert oracles.composite_diameter(g) == expected
+    assert composite_diameter(g) == expected
+    assert composite_diameter(Adjacency(g)) == expected
+    if family == "path":
+        assert expected == n - 1
+
+
+@pytest.mark.parametrize("sizes", [(4, 6), (8, 9), (3, 7), (16, 16), (20, 15), (32, 16)])
+def test_diameter_of_coupled_tvgs(sizes):
+    for seed in range(2):
+        g = coupled_tvg(sizes, seed)
+        expected = oracles.composite_diameter(g)
+        assert expected is not None and expected >= 3
+        assert composite_diameter(g) == expected == expected_diameter(g)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A random forest or spanning tree plus a few random edges."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    parents = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
+    tree = [(order[i + 1], order[p]) for i, p in enumerate(parents)]
+    kept = rng.random(n - 1) < draw(st.sampled_from([1.0, 0.99, 0.9]))
+    pairs = [pair for pair, keep in zip(tree, kept) if keep]
+    extra = rng.integers(0, n, (draw(st.integers(0, n // 4)), 2))
+    pairs += [(a, b) for a, b in extra if a != b]
+    return graph_mag(n, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs())
+def test_diameter_of_sparse_random_graphs(g):
+    assert composite_diameter(g) == oracles.composite_diameter(g)
+
+
+def test_diameter_gather_memory_is_chunked():
+    # G(N, 0.6) with one vertex left hanging off a single neighbour:
+    # diameter 3, about two fifths of the vertices on every source's depth-2
+    # frontier, so an unchunked gather of frontier words per CSR entry
+    # would take about 32 MiB on its own.
+    n = 2048
+    rng = np.random.default_rng(5)
+    upper = np.triu(rng.random((n, n)) < 0.6, 1)
+    upper[0] = False
+    upper[:, 0] = False
+    upper[0, 1] = True
+    g = SimpleMag(CompanionTuple((n,)), BitString.from_array(upper[np.triu_indices(n, 1)]))
+    assert g.edge_count() >= n * n // 4
+    del upper
+    adj = Adjacency(g)
+    tracemalloc.start()
+    try:
+        assert composite_diameter(adj) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
