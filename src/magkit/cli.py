@@ -131,13 +131,13 @@ def _cmd_info_gap(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    if not args.out.endswith((".magt", ".mcs")):
+        raise ArgumentError(f"cannot infer format of {args.out!r}")
     g = _read_graph(args.input)
     if args.out.endswith(".magt"):
         Path(args.out).write_text(write_magt(g))
-    elif args.out.endswith(".mcs"):
-        Path(args.out).write_bytes(write_mcs(g))
     else:
-        raise ArgumentError(f"cannot infer format of {args.out!r}")
+        Path(args.out).write_bytes(write_mcs(g))
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstring import BitString
 from .core import CompanionTuple, SimpleMag
 from .errors import ArgumentError, ShapeError
 from .snapshot import spatial_positions
@@ -58,21 +57,23 @@ def presence_words(seed: int, count: int) -> np.ndarray:
 
 def generate(spec: GenSpec) -> SimpleMag:
     m = spec.shape.possible_edges
-    if spec.p_num == 0 or m == 0:
-        bits = np.zeros(m, dtype=np.uint8)
-    elif spec.p_num == spec.p_den:
-        bits = np.ones(m, dtype=np.uint8)
-    else:
-        threshold = np.uint64((spec.p_num << SEED_BITS) // spec.p_den)
-        bits = np.empty(m, dtype=np.uint8)
+    g = SimpleMag(spec.shape)
+    if spec.p_num:
+        payload = np.frombuffer(g.bits.payload, dtype=np.uint8)
         words = np.random.Philox(key=spec.seed)
-        # Consecutive draws continue one stream, so chunking keeps the bits.
+        threshold = (spec.p_num << SEED_BITS) // spec.p_den
+        # Consecutive draws continue one stream, so chunking keeps the bits;
+        # WORD_CHUNK is a multiple of 8, so each chunk packs into whole bytes.
         for lo in range(0, m, WORD_CHUNK):
             hi = min(lo + WORD_CHUNK, m)
-            np.less(words.random_raw(hi - lo), threshold, out=bits[lo:hi])
+            if spec.p_num == spec.p_den:
+                present = np.ones(hi - lo, dtype=bool)
+            else:
+                present = words.random_raw(hi - lo) < np.uint64(threshold)
+            payload[lo // 8 : (hi + 7) // 8] = np.packbits(present)
     if spec.spatial_only:
-        spatial = np.zeros(m, dtype=np.uint8)
         positions = spatial_positions(spec.shape)
-        spatial[positions] = bits[positions]
-        bits = spatial
-    return SimpleMag(spec.shape, BitString.from_array(bits))
+        spatial = SimpleMag(spec.shape)
+        spatial.bits.set_many(positions[g.bits.take(positions) == 1])
+        g = spatial
+    return g

@@ -4,10 +4,12 @@ A spatial edge joins two composite vertices that share the same second-aspect
 coordinate. A MAG whose present edges are all spatial can be losslessly
 rebuilt from just the spatial presence bits, one block of (nV^2 - nV)/2 bits
 per time instant (or layer), plus a header carrying (nV, nT). The encoder
-gathers those bits out of the characteristic string; the decoder scatters
-them back and zero-fills every non-spatial position. An optional flag makes
-the decoder also materialize the sequential couplings {(u, t_i), (u, t_i+1)}
-for every node, which are never stored.
+takes those bits out of the packed characteristic string; the decoder sets
+them, and with its flag the never-stored sequential couplings
+{(u, t_i), (u, t_i+1)}, into an empty one. Both hold O(M/8 + S + N) bytes
+(M possible edges, S spatial positions, N vertices), never one byte per
+possible edge. The positions, the stray-edge test and the same-node gather
+used by the coupling checks here and in topo all rank through core.
 
 Also here: the interval-contraction reduction that turns a TVG whose edges
 all span mapped time intervals (t_i, f(t_i)) into a plain spatial TVG, and
@@ -71,7 +73,7 @@ def spatial_positions(shape: CompanionTuple) -> np.ndarray:
     n_vertices, n_times = _require_order2(shape)
     n = shape.vertex_count
     rows = np.arange(n, dtype=np.int64)
-    starts = rows * n - rows * (rows + 1) // 2
+    starts = ranks_from_pairs(n, rows, rows + 1)
     lengths = (n_vertices - 1) - (rows % n_vertices)
     total = int(lengths.sum())
     if total == 0:
@@ -85,9 +87,18 @@ def spatial_positions(shape: CompanionTuple) -> np.ndarray:
 def coupling_positions(shape: CompanionTuple) -> np.ndarray:
     """Global ranks of all sequential couplings {(u, t_i), (u, t_i+1)}."""
     n_vertices, n_times = _require_order2(shape)
-    n = shape.vertex_count
     a = np.arange(n_vertices * (n_times - 1), dtype=np.int64)
-    return a * n - a * (a + 1) // 2 + n_vertices - 1
+    return ranks_from_pairs(shape.vertex_count, a, a + n_vertices)
+
+
+def same_node_ranks(shape: CompanionTuple, i: int) -> np.ndarray:
+    """(nV, nT - 1 - i) ranks of {(u, t_i), (u, t_j)}: row u, column j - i - 1."""
+    n_vertices, n_times = _require_order2(shape)
+    node = np.arange(n_vertices, dtype=np.int64)[:, None]
+    later = np.arange(i + 1, n_times, dtype=np.int64)
+    return ranks_from_pairs(
+        shape.vertex_count, node + i * n_vertices, node + later * n_vertices
+    )
 
 
 @dataclass
@@ -159,8 +170,7 @@ def encode_snapshot(
     n_vertices, n_times = _require_order2(g.shape)
     if not strip_non_spatial:
         require_snapshot_like(g, implied_couplings)
-    bits = g.bits.to_array()
-    blocks = BitString.from_array(bits[spatial_positions(g.shape)])
+    blocks = BitString.from_array(g.bits.take(spatial_positions(g.shape)))
     return SnapshotPayload(n_vertices, n_times, implied_couplings, blocks)
 
 
@@ -171,11 +181,11 @@ def decode_snapshot(payload: SnapshotPayload) -> SimpleMag:
     and when the couplings flag is set all sequential couplings are added.
     """
     shape = payload.shape()
-    bits = np.zeros(shape.possible_edges, dtype=np.uint8)
-    bits[spatial_positions(shape)] = payload.blocks.to_array()
+    g = SimpleMag(shape)
+    g.bits.set_many(spatial_positions(shape)[payload.blocks.to_array() == 1])
     if payload.couplings:
-        bits[coupling_positions(shape)] = 1
-    return SimpleMag(shape, BitString.from_array(bits))
+        g.bits.set_many(coupling_positions(shape))
+    return g
 
 
 def write_msc(payload: SnapshotPayload) -> bytes:
@@ -315,15 +325,12 @@ def expand_intervals(
         )
     if interval_map.pairs[-1][1] >= time_count:
         raise ShapeError("interval map reaches past the requested instant count")
+    require_snapshot_like(g)
     firsts, lasts = np.array(interval_map.pairs).T
     out = SimpleMag(CompanionTuple((n_vertices, time_count)))
     for ranks in g.rank_blocks():
         a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
         k = a // n_vertices
-        not_spatial = k != b // n_vertices
-        if not_spatial.any():
-            u, v = edge_from_rank(g.shape, int(ranks[not_spatial.argmax()]))
-            raise NotSnapshotError(f"edge {u} -- {v} is not spatial", edge=(u, v))
         out.bits.set_many(ranks_from_pairs(
             n_vertices * time_count,
             a % n_vertices + firsts[k] * n_vertices,
@@ -354,15 +361,8 @@ def check_multiplex_couplings(g: SimpleMag) -> CouplingCheck:
         if (across & (a % n_vertices != b % n_vertices)).any():
             diagonal = False
             break
-    # One gather per layer alpha of its same-node pairs with every later layer.
-    node = np.arange(n_vertices, dtype=np.int64)[:, None]
-    categorical = True
-    for alpha in range(n_layers - 1):
-        beta = np.arange(alpha + 1, n_layers)
-        same_node = ranks_from_pairs(
-            g.shape.vertex_count, node + alpha * n_vertices, node + beta * n_vertices
-        )
-        if not g.bits.take(same_node.ravel()).all():
-            categorical = False
-            break
+    categorical = all(
+        g.bits.take(same_node_ranks(g.shape, alpha)).all()
+        for alpha in range(n_layers - 1)
+    )
     return CouplingCheck(diagonal, categorical, True)

@@ -25,12 +25,11 @@ import numpy as np
 from .core import (
     CompanionTuple,
     SimpleMag,
-    ranks_from_pairs,
     vertex_from_index,
     vertex_index,
 )
 from .errors import ArgumentError, ShapeError
-from .snapshot import first_stray_rank
+from .snapshot import first_stray_rank, same_node_ranks
 from .traversal import bfs_diameter
 
 _MATMUL_BLOCK = 256
@@ -177,22 +176,19 @@ def is_sequentially_coupled(g: SimpleMag | Adjacency):
     g = _mag(g)
     if g.shape.order != 2:
         raise ShapeError(f"expected a second-order MAG, got order {g.shape.order}")
-    n_vertices, n_times = g.shape.sizes
-    n = g.shape.vertex_count
-    i, j = np.triu_indices(n_times, 1)
-    node = np.arange(n_vertices, dtype=np.int64)[:, None]
-    a = (node + i * n_vertices).ravel()
-    b = (node + j * n_vertices).ravel()
-    ranks = ranks_from_pairs(n, a, b)
-    sequential = np.broadcast_to(j == i + 1, (n_vertices, i.size)).ravel()
-    violations = np.flatnonzero(g.bits.take(ranks) != sequential)
-    if violations.size == 0:
+    first = None  # (node, i, j) of the first violation
+    for i in range(g.shape.sizes[1] - 1):
+        present = g.bits.take(same_node_ranks(g.shape, i))
+        bad = present != (np.arange(present.shape[1]) == 0)
+        if bad.any():
+            node, col = divmod(int(bad.argmax()), present.shape[1])
+            if first is None or node < first[0]:
+                first = (node, i, i + 1 + col)
+    if first is None:
         return True, None
-    k = int(violations[0])
-    u = (k // i.size, int(i[k % i.size]))
-    v = (u[0], int(j[k % i.size]))
-    kind = "missing-coupling" if sequential[k] else "non-sequential-coupling"
-    return False, (kind, (u, v))
+    node, i, j = first
+    kind = "missing-coupling" if j == i + 1 else "non-sequential-coupling"
+    return False, (kind, ((node, i), (node, j)))
 
 
 def is_snapshot_like(g: SimpleMag | Adjacency, implied_couplings: bool = False) -> bool:

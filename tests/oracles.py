@@ -3,15 +3,18 @@
 These are the straightforward one-edge-at-a-time versions of the rank
 bijections, the .magt codec, interval contraction, the coupling checks and
 the snapshot-likeness test, and the one-source-at-a-time bitset BFS
-diameter. Tests compare the library against them; nothing
-in the library imports this module.
+diameter; the snapshot codec and spatial-only generation through an array
+of one byte per possible edge; and the all-pairs sequential-coupling gather.
+Tests compare the library against them; nothing in the library imports
+this module.
 """
 
 from math import isqrt
 
 import numpy as np
 
-from magkit.core import CompanionTuple, SimpleMag
+from magkit.bitstring import BitString
+from magkit.core import CompanionTuple, SimpleMag, ranks_from_pairs
 from magkit.errors import (
     DuplicateEdgeError,
     MagError,
@@ -21,7 +24,8 @@ from magkit.errors import (
     SelfLoopError,
     ShapeError,
 )
-from magkit.snapshot import coupling_positions, spatial_positions
+from magkit.randgen import SEED_BITS, WORD_CHUNK
+from magkit.snapshot import SnapshotPayload
 
 
 def vertex_index(shape, coords):
@@ -72,6 +76,26 @@ def edge_rank(shape, u, v):
 def edge_from_rank(shape, rank):
     a, b = pair_from_rank(shape.vertex_count, rank)
     return vertex_from_index(shape, a), vertex_from_index(shape, b)
+
+
+def spatial_positions(shape):
+    """Ranks of the spatial pairs, block by block, pairs lexicographic."""
+    n_vertices, n_times = shape.sizes
+    return np.array([
+        edge_rank(shape, (u, t), (v, t))
+        for t in range(n_times)
+        for u in range(n_vertices)
+        for v in range(u + 1, n_vertices)
+    ], dtype=np.int64)
+
+
+def coupling_positions(shape):
+    n_vertices, n_times = shape.sizes
+    return np.array([
+        edge_rank(shape, (u, t), (u, t + 1))
+        for t in range(n_times - 1)
+        for u in range(n_vertices)
+    ], dtype=np.int64)
 
 
 def present_ranks(g):
@@ -235,3 +259,75 @@ def composite_diameter(g):
             return None
         diameter = max(diameter, depth)
     return diameter
+
+
+def generate(spec):
+    """All M presence bits as a uint8 array, then an M-byte spatial mask."""
+    m = spec.shape.possible_edges
+    if spec.p_num == 0 or m == 0:
+        bits = np.zeros(m, dtype=np.uint8)
+    elif spec.p_num == spec.p_den:
+        bits = np.ones(m, dtype=np.uint8)
+    else:
+        threshold = np.uint64((spec.p_num << SEED_BITS) // spec.p_den)
+        bits = np.empty(m, dtype=np.uint8)
+        words = np.random.Philox(key=spec.seed)
+        for lo in range(0, m, WORD_CHUNK):
+            hi = min(lo + WORD_CHUNK, m)
+            np.less(words.random_raw(hi - lo), threshold, out=bits[lo:hi])
+    if spec.spatial_only:
+        spatial = np.zeros(m, dtype=np.uint8)
+        positions = spatial_positions(spec.shape)
+        spatial[positions] = bits[positions]
+        bits = spatial
+    return SimpleMag(spec.shape, BitString.from_array(bits))
+
+
+def encode_snapshot(g, implied_couplings=False):
+    """Spatial bits gathered from the unpacked string; non-spatial dropped."""
+    n_vertices, n_times = g.shape.sizes
+    bits = g.bits.to_array()
+    blocks = BitString.from_array(bits[spatial_positions(g.shape)])
+    return SnapshotPayload(n_vertices, n_times, implied_couplings, blocks)
+
+
+def decode_snapshot(payload):
+    shape = payload.shape()
+    bits = np.zeros(shape.possible_edges, dtype=np.uint8)
+    bits[spatial_positions(shape)] = payload.blocks.to_array()
+    if payload.couplings:
+        bits[coupling_positions(shape)] = 1
+    return SimpleMag(shape, BitString.from_array(bits))
+
+
+def is_sequentially_coupled(g):
+    """One gather of the same-node ranks of every pair of instants."""
+    n_vertices, n_times = g.shape.sizes
+    i, j = np.triu_indices(n_times, 1)
+    node = np.arange(n_vertices, dtype=np.int64)[:, None]
+    a = (node + i * n_vertices).ravel()
+    b = (node + j * n_vertices).ravel()
+    ranks = ranks_from_pairs(g.shape.vertex_count, a, b)
+    sequential = np.broadcast_to(j == i + 1, (n_vertices, i.size)).ravel()
+    violations = np.flatnonzero(g.bits.take(ranks) != sequential)
+    if violations.size == 0:
+        return True, None
+    k = int(violations[0])
+    u = (k // i.size, int(i[k % i.size]))
+    v = (u[0], int(j[k % i.size]))
+    kind = "missing-coupling" if sequential[k] else "non-sequential-coupling"
+    return False, (kind, (u, v))
+
+
+def categorical_by_layer(g):
+    """One gather per layer of its same-node pairs with every later layer."""
+    n_vertices, n_layers = g.shape.sizes
+    node = np.arange(n_vertices, dtype=np.int64)[:, None]
+    for alpha in range(n_layers - 1):
+        beta = np.arange(alpha + 1, n_layers)
+        same_node = ranks_from_pairs(
+            g.shape.vertex_count, node + alpha * n_vertices, node + beta * n_vertices
+        )
+        if not g.bits.take(same_node.ravel()).all():
+            return False
+    return True

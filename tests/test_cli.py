@@ -155,6 +155,9 @@ def test_convert_unknown_extension_exit_2(tmp_path, capsys):
     assert run(["convert", str(src), "-o", str(tmp_path / "g.txt")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ArgumentError"
     assert not (tmp_path / "g.txt").exists()
+    # the extension is checked before the input is read
+    assert run(["convert", str(tmp_path / "missing.mcs"), "-o", str(tmp_path / "x.txt")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ArgumentError"
 
 
 def test_missing_file_exit_1(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from magkit.bitstring import BitString
 from magkit.core import CompanionTuple
 from magkit.errors import ArgumentError, ShapeError
 from magkit.randgen import SEED_BITS, WORD_CHUNK, GenSpec, generate, presence_words
@@ -46,19 +47,23 @@ def test_golden_artifact_bytes():
 
 
 def test_generate_across_word_chunks():
-    # M = 1,050,525 words: one full chunk and part of the next
+    # M = 1,050,525 words: one full chunk and part of the next, whose last
+    # byte holds 5 bits and 3 bits of padding
     shape = CompanionTuple((145, 10))
     m = shape.possible_edges
-    assert WORD_CHUNK < m < 2 * WORD_CHUNK
-    threshold = (3 << SEED_BITS) // 8
-    expected = (presence_words(21, m) < np.uint64(threshold)).astype(np.uint8)
-    g = generate(GenSpec(shape, 3, 8, 21))
-    assert np.array_equal(g.bits.to_array(), expected)
-    spatial = np.zeros(m, dtype=np.uint8)
+    assert WORD_CHUNK < m < 2 * WORD_CHUNK and m % 8 == 5
     positions = spatial_positions(shape)
-    spatial[positions] = expected[positions]
-    s = generate(GenSpec(shape, 3, 8, 21, spatial_only=True))
-    assert np.array_equal(s.bits.to_array(), spatial)
+    threshold = (3 << SEED_BITS) // 8
+    for p_num, p_den, expected in [
+        (3, 8, (presence_words(21, m) < np.uint64(threshold)).astype(np.uint8)),
+        (1, 1, np.ones(m, dtype=np.uint8)),
+    ]:
+        g = generate(GenSpec(shape, p_num, p_den, 21))
+        assert g.bits == BitString.from_array(expected)  # padding included
+        spatial = np.zeros(m, dtype=np.uint8)
+        spatial[positions] = expected[positions]
+        s = generate(GenSpec(shape, p_num, p_den, 21, spatial_only=True))
+        assert s.bits == BitString.from_array(spatial)
 
 
 def test_probability_zero_and_one():

@@ -1,6 +1,7 @@
 """Snapshot codec, .msc format, interval contraction, multiplex checks."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from magkit.errors import (
     ShapeError,
     TruncatedError,
 )
+from magkit.formats import write_mcs
 from magkit.randgen import GenSpec, generate
 from magkit.snapshot import (
+    CouplingCheck,
     IntervalMap,
     SnapshotPayload,
     check_multiplex_couplings,
@@ -35,7 +38,7 @@ from magkit.snapshot import (
     spatial_positions,
     write_msc,
 )
-from magkit.topo import is_snapshot_like
+from magkit.topo import is_sequentially_coupled, is_snapshot_like
 
 
 def spatial_mag(sizes, seed):
@@ -413,3 +416,69 @@ def test_stray_edge_test_matches_mask_oracle(implied):
         assert is_snapshot_like(g, implied) == (expected is None)
         if expected is not None:
             assert first_stray_rank(g, implied) == edge_rank(g.shape, *expected)
+
+
+def coupling_verdicts(g):
+    return is_sequentially_coupled(g), check_multiplex_couplings(g)
+
+
+def oracle_coupling_verdicts(g):
+    diagonal, categorical = oracles.check_multiplex_couplings(g)
+    assert oracles.categorical_by_layer(g) == categorical
+    return oracles.is_sequentially_coupled(g), CouplingCheck(diagonal, categorical, True)
+
+
+@pytest.mark.parametrize("p", [(0, 1), (1, 8), (1, 2), (3, 4), (1, 1)])
+def test_snapshot_paths_match_byte_per_position_oracles(p):
+    for n_vertices, n_times in itertools.product(range(1, 10), repeat=2):
+        for spatial_only in (False, True):
+            spec = GenSpec(CompanionTuple((n_vertices, n_times)), *p,
+                           10 * n_vertices + n_times, spatial_only)
+            g = generate(spec)
+            assert write_mcs(g) == write_mcs(oracles.generate(spec))
+            for couplings in (False, True):
+                payload = encode_snapshot(g, not spatial_only, couplings)
+                assert write_msc(payload) == write_msc(oracles.encode_snapshot(g, couplings))
+                back = decode_snapshot(payload)
+                assert write_mcs(back) == write_mcs(oracles.decode_snapshot(payload))
+                mags = [g, back]
+                if couplings and n_vertices > 1 and n_times > 2:
+                    late = back.copy()  # node 0 breaks later than the last node
+                    late.set_edge((0, n_times - 2), (0, n_times - 1), False)
+                    late.set_edge((n_vertices - 1, 0), (n_vertices - 1, 1), False)
+                    mags.append(late)
+                for h in mags:
+                    assert coupling_verdicts(h) == oracle_coupling_verdicts(h)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes traced during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_snapshot_paths_hold_less_than_a_byte_per_position():
+    # M = 33,550,336 possible edges, S = 520,192 spatial positions: the
+    # packed string is M/8 bytes and the positions 8*S.
+    spec = GenSpec(CompanionTuple((128, 64)), 1, 2, 7, spatial_only=True)
+    m = spec.shape.possible_edges
+    peaks = {}
+    g, peaks["generate"] = traced_peak(generate, spec)
+    payload, peaks["encode"] = traced_peak(encode_snapshot, g, implied_couplings=True)
+    back, peaks["decode"] = traced_peak(decode_snapshot, payload)
+    assert back.edge_count() == g.edge_count() + 128 * 63
+    assert all(peak < m for peak in peaks.values()), {
+        name: f"{peak / 2**20:.1f} MiB" for name, peak in peaks.items()}
+
+
+def test_sequential_coupling_gather_is_per_instant():
+    # 1024 instants: all pairs of instants would be 2 * 1024 * 1023 / 2 ranks
+    coupled = decode_snapshot(SnapshotPayload(2, 1024, True, BitString(1024)))
+    m = coupled.shape.possible_edges
+    verdict, peak = traced_peak(is_sequentially_coupled, coupled)
+    assert verdict == (True, None)
+    assert peak < m / 8, f"peak {peak / 2**20:.2f} MiB"
