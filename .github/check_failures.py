@@ -4,8 +4,11 @@ the two acceptance criteria that README documents as failing.
     python .github/check_failures.py REPORT.xml
 
 A test that errors (collection errors included) counts as failing, and so
-does a report with no tests in it. A documented failure that starts to pass
-also exits 1, so that README and this list are updated with it.
+does a report with no tests in it. So does a test that is skipped or marked
+xfail, both of which the report marks with <skipped>: nothing is meant to be
+skipped, and the documented failures are meant to fail plainly. A documented
+failure that starts to pass also exits 1, so that README and this list are
+updated with it.
 """
 
 import sys
@@ -19,17 +22,24 @@ DOCUMENTED = {
 
 def main(path: str) -> int:
     cases = list(ET.parse(path).getroot().iter("testcase"))
-    failing = {
-        f"{case.get('classname')}::{case.get('name')}"
-        for case in cases
-        if case.find("failure") is not None or case.find("error") is not None
-    }
-    print(f"{len(cases)} tests, {len(failing)} failing")
+
+    def named(tags):
+        return {
+            f"{case.get('classname')}::{case.get('name')}"
+            for case in cases
+            if any(case.find(tag) is not None for tag in tags)
+        }
+
+    failing = named(["failure", "error"])
+    skipped = named(["skipped"])
+    print(f"{len(cases)} tests, {len(failing)} failing, {len(skipped)} skipped or xfailed")
     for name in sorted(failing - DOCUMENTED):
         print(f"unexpected failure: {name}")
-    for name in sorted(DOCUMENTED - failing):
+    for name in sorted(skipped):
+        print(f"unexpected skip or xfail: {name}")
+    for name in sorted(DOCUMENTED - failing - skipped):
         print(f"documented failure now passes: {name}")
-    return 0 if cases and failing == DOCUMENTED else 1
+    return 0 if cases and failing == DOCUMENTED and not skipped else 1
 
 
 if __name__ == "__main__":

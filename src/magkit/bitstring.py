@@ -3,7 +3,9 @@
 A BitString is a length-carrying bit sequence packed MSB-first within each
 byte; padding bits in the final byte are always zero. The canonical packing
 makes byte equality equivalent to bit equality, which the file formats rely
-on for deterministic round trips.
+on for deterministic round trips. This is the one module that knows that
+layout: other modules read and write bits through BitString (ones, put and
+read among them) and touch the payload bytes only to append them to a stream.
 
 Varints are unsigned LEB128: 7 data bits per byte, little-endian groups,
 high bit marks continuation. Encoding is always minimal and the decoder
@@ -12,13 +14,19 @@ rejects non-minimal forms, again so that value equality is byte equality.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from .errors import PaddingError, RangeError, TruncatedError, VarintError
+from .errors import PaddingError, RangeError, TrailingDataError, TruncatedError, VarintError
+
+# Indices per array that ones() yields, and payload bytes it unpacks at a
+# time: bounds the memory of every pass over the 1 bits.
+BLOCK = 1 << 15
 
 # Bit-reversal table: maps each byte to the byte with reversed bit order.
-# Lets us convert between MSB-first packed bytes and little-endian integers
-# with one bytes.translate plus int.from_bytes, both O(n) in C.
+# Lets to_int read MSB-first packed bytes as a little-endian integer with
+# one bytes.translate plus int.from_bytes, both O(n) in C.
 _REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
@@ -119,33 +127,50 @@ class BitString:
         buf = np.frombuffer(self.payload, dtype=np.uint8)
         np.bitwise_or.at(buf, indices >> 3, (0x80 >> (indices & 7)).astype(np.uint8))
 
-    def to_bytes(self) -> bytes:
-        return bytes(self.payload)
-
     def to_int(self) -> int:
         """Whole string as an integer with bit j of the string at bit j."""
         return int.from_bytes(bytes(self.payload).translate(_REVERSED), "little")
 
-    @classmethod
-    def from_int(cls, bit_length: int, value: int) -> "BitString":
-        if value < 0 or value >> bit_length:
-            raise RangeError("integer does not fit the requested bit length")
-        nbytes = (bit_length + 7) // 8
-        raw = value.to_bytes(nbytes, "little").translate(_REVERSED)
-        return cls(bit_length, raw)
-
     def to_array(self) -> np.ndarray:
         """Bits as a uint8 array of length bit_length."""
-        buf = np.frombuffer(bytes(self.payload), dtype=np.uint8)
+        buf = np.frombuffer(self.payload, dtype=np.uint8)
         return np.unpackbits(buf, bitorder="big")[: self.bit_length]
+
+    def ones(self) -> Iterator[np.ndarray]:
+        """Indices of the 1 bits in ascending order, as int64 arrays of at
+        most BLOCK indices; unpacks BLOCK payload bytes at a time."""
+        payload = np.frombuffer(self.payload, dtype=np.uint8)
+        for lo in range(0, payload.size, BLOCK):
+            window = payload[lo : lo + BLOCK]
+            nonzero = np.flatnonzero(window)
+            bits = np.flatnonzero(np.unpackbits(window[nonzero]))
+            ones = (nonzero[bits >> 3] + lo) * 8 + (bits & 7)
+            for start in range(0, ones.size, BLOCK):
+                yield ones[start : start + BLOCK]
+
+    def put(self, start: int, bits: np.ndarray) -> None:
+        """Overwrite the bits from `start`, a multiple of 8, with a 0/1 array;
+        the rest of the last byte written is cleared."""
+        if start % 8 or not 0 <= start <= self.bit_length - bits.size:
+            raise RangeError(f"cannot put {bits.size} bits at bit {start}")
+        buf = np.frombuffer(self.payload, dtype=np.uint8)
+        buf[start >> 3 : (start + bits.size + 7) >> 3] = np.packbits(bits)
 
     @classmethod
     def from_array(cls, bits: np.ndarray) -> "BitString":
         packed = np.packbits(bits.astype(np.uint8, copy=False), bitorder="big")
         return cls(int(bits.size), packed.tobytes())
 
+    @classmethod
+    def read(cls, data: bytes, pos: int, bit_length: int) -> "BitString":
+        """The string of bit_length bits whose payload is exactly data[pos:]."""
+        extra = len(data) - pos - (bit_length + 7) // 8
+        if extra > 0:
+            raise TrailingDataError(f"{extra} bytes past the payload")
+        return cls(bit_length, data[pos:])
+
     def copy(self) -> "BitString":
-        return BitString(self.bit_length, bytes(self.payload))
+        return BitString(self.bit_length, self.payload)
 
     def __len__(self) -> int:
         return self.bit_length

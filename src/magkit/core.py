@@ -18,7 +18,8 @@ rank order; that bit sequence is the MAG's characteristic string.
 Both bijections exist twice: as scalar functions for the public per-edge
 API, and as one array kernel (pairs_from_ranks, ranks_from_pairs,
 coords_from_indices, indices_from_coords) that every pass over the present
-edges goes through, block by block (SimpleMag.rank_blocks).
+edges goes through, block by block (SimpleMag.rank_blocks). The bits are
+packed and unpacked only in magkit.bitstring; rank_blocks is BitString.ones.
 
 All indices are 0-based.
 """
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitstring import BitString
+from .bitstring import BLOCK, BitString  # BLOCK bounds rank_blocks() too
 from .errors import (
     ArithmeticOverflowError,
     RangeError,
@@ -158,10 +159,6 @@ def edge_from_rank(shape: CompanionTuple, rank: int) -> tuple[Coords, Coords]:
 # vertex count N <= 2**31 (every product below stays under 2**62). Inputs
 # are assumed in range; callers check them.
 
-# Ranks per array that rank_blocks yields: bounds the memory of every
-# pass that walks the present edges.
-BLOCK = 1 << 15
-
 
 def ranks_from_pairs(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ranks of the pairs (a, b), a < b, over vertex indices [0, n)."""
@@ -234,15 +231,8 @@ class SimpleMag:
 
     def rank_blocks(self) -> Iterator[np.ndarray]:
         """Ranks of present edges in ascending order, as int64 arrays of at
-        most BLOCK ranks; unpacks BLOCK payload bytes at a time."""
-        payload = np.frombuffer(self.bits.payload, dtype=np.uint8)
-        for lo in range(0, payload.size, BLOCK):
-            window = payload[lo : lo + BLOCK]
-            nonzero = np.flatnonzero(window)
-            bits = np.flatnonzero(np.unpackbits(window[nonzero]))
-            ranks = (nonzero[bits >> 3] + lo) * 8 + (bits & 7)
-            for start in range(0, ranks.size, BLOCK):
-                yield ranks[start : start + BLOCK]
+        most BLOCK ranks (BitString.ones)."""
+        return self.bits.ones()
 
     def present_ranks(self) -> Iterator[int]:
         """Ranks of present edges in ascending order."""

@@ -34,14 +34,7 @@ from .core import (
     pairs_from_ranks,
     ranks_from_pairs,
 )
-from .errors import (
-    BadMagicError,
-    DuplicateEdgeError,
-    MagError,
-    ParseError,
-    TrailingDataError,
-    TruncatedError,
-)
+from .errors import BadMagicError, DuplicateEdgeError, MagError, ParseError
 
 MCS_MAGIC = b"MCS1"
 
@@ -65,16 +58,7 @@ def read_mcs(data: bytes) -> SimpleMag:
         n, pos = decode_uvarint(data, pos)
         sizes.append(n)
     shape = CompanionTuple(sizes)
-    expected = (shape.possible_edges + 7) // 8
-    remaining = len(data) - pos
-    if remaining < expected:
-        raise TruncatedError(
-            f"payload holds {remaining} bytes, shape requires {expected}"
-        )
-    if remaining > expected:
-        raise TrailingDataError(f"{remaining - expected} bytes past the payload")
-    bits = BitString(shape.possible_edges, data[pos:])
-    return SimpleMag(shape, bits)
+    return SimpleMag(shape, BitString.read(data, pos, shape.possible_edges))
 
 
 def write_magt(g: SimpleMag) -> str:

@@ -59,18 +59,17 @@ def generate(spec: GenSpec) -> SimpleMag:
     m = spec.shape.possible_edges
     g = SimpleMag(spec.shape)
     if spec.p_num:
-        payload = np.frombuffer(g.bits.payload, dtype=np.uint8)
         words = np.random.Philox(key=spec.seed)
         threshold = (spec.p_num << SEED_BITS) // spec.p_den
         # Consecutive draws continue one stream, so chunking keeps the bits;
-        # WORD_CHUNK is a multiple of 8, so each chunk packs into whole bytes.
+        # WORD_CHUNK is a multiple of 8, so each chunk starts on a byte.
         for lo in range(0, m, WORD_CHUNK):
             hi = min(lo + WORD_CHUNK, m)
             if spec.p_num == spec.p_den:
                 present = np.ones(hi - lo, dtype=bool)
             else:
                 present = words.random_raw(hi - lo) < np.uint64(threshold)
-            payload[lo // 8 : (hi + 7) // 8] = np.packbits(present)
+            g.bits.put(lo, present)
     if spec.spatial_only:
         positions = spatial_positions(spec.shape)
         spatial = SimpleMag(spec.shape)

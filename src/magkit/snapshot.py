@@ -37,7 +37,6 @@ from .errors import (
     NotIntervalRestrictedError,
     NotSnapshotError,
     ShapeError,
-    TrailingDataError,
     TruncatedError,
 )
 
@@ -212,16 +211,8 @@ def read_msc(data: bytes) -> SnapshotPayload:
     if flags & ~1:
         raise FormatError(f"unknown flag bits 0x{flags:02x}")
     block_bits = n_times * (n_vertices**2 - n_vertices) // 2
-    expected = (block_bits + 7) // 8
-    remaining = len(data) - pos
-    if remaining < expected:
-        raise TruncatedError(
-            f"blocks hold {remaining} bytes, header requires {expected}"
-        )
-    if remaining > expected:
-        raise TrailingDataError(f"{remaining - expected} bytes past the blocks")
     return SnapshotPayload(
-        n_vertices, n_times, bool(flags & 1), BitString(block_bits, data[pos:])
+        n_vertices, n_times, bool(flags & 1), BitString.read(data, pos, block_bits)
     )
 
 

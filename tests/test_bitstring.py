@@ -1,9 +1,18 @@
 """BitString packing and varint codec."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magkit.bitstring import BitString, decode_uvarint, encode_uvarint
-from magkit.errors import PaddingError, RangeError, TruncatedError, VarintError
+from magkit.bitstring import BLOCK, BitString, decode_uvarint, encode_uvarint
+from magkit.errors import (
+    PaddingError,
+    RangeError,
+    TrailingDataError,
+    TruncatedError,
+    VarintError,
+)
 
 
 def test_varint_known_values():
@@ -75,7 +84,6 @@ def test_int_conversion_against_slow_reference():
                 bs.set(j)
         slow = sum(bs.get(j) << j for j in range(bit_length))
         assert bs.to_int() == slow
-        assert BitString.from_int(bit_length, slow) == bs
 
 
 def test_array_conversion_roundtrip():
@@ -141,3 +149,79 @@ def test_set_many_against_per_bit_set():
         with pytest.raises(RangeError):
             bs.set_many(np.array([-1]))
         assert bs == expected
+
+
+# Lengths 0-17 cover every padding width around the first byte boundaries.
+lengths = st.one_of(st.integers(0, 17), st.integers(18, 5000))
+
+
+def random_bits(n: int, seed: int, p: float) -> np.ndarray:
+    return (np.random.default_rng(seed).random(n) < p).astype(np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths, st.integers(0, 2**32), st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+def test_ones_are_the_set_indices_in_bounded_ascending_blocks(n, seed, p):
+    bs = BitString.from_array(random_bits(n, seed, p))
+    blocks = list(bs.ones())
+    assert all(b.dtype == np.int64 and 0 < b.size <= BLOCK for b in blocks)
+    ones = np.concatenate(blocks) if blocks else np.zeros(0, np.int64)
+    assert ones.tolist() == np.flatnonzero(bs.to_array()).tolist()
+    assert (np.diff(ones) > 0).all()
+
+
+def test_ones_of_a_full_string_longer_than_a_window():
+    n = 8 * BLOCK + 13  # every window of BLOCK bytes holds 8 * BLOCK ones
+    blocks = list(BitString.from_array(np.ones(n, np.uint8)).ones())
+    assert [b.size for b in blocks] == [BLOCK] * 8 + [13]
+    assert (np.concatenate(blocks) == np.arange(n)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), max_size=6),
+    st.integers(0, 23),
+    st.integers(0, 2**32),
+    st.randoms(use_true_random=False),
+)
+def test_chunked_put_packs_like_from_array(whole_bytes, tail, seed, rnd):
+    sizes = [8 * k for k in whole_bytes] + [tail]  # only the last chunk is ragged
+    bits = random_bits(sum(sizes), seed, 0.5)
+    expected = BitString.from_array(bits)
+    # put overwrites, whatever the string held, and in any order of chunks
+    bs = BitString.from_array(random_bits(bits.size, seed + 1, 0.5))
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    chunks = list(zip(starts, sizes))
+    rnd.shuffle(chunks)
+    for start, size in chunks:
+        bs.put(start, bits[start : start + size] == 1)
+    assert bs == expected
+    BitString(bs.bit_length, bs.payload)  # padding still zero
+
+
+def test_put_range_checks():
+    bs = BitString(20)
+    for start, size in [(4, 8), (16, 5), (-8, 1), (24, 0)]:
+        with pytest.raises(RangeError):
+            bs.put(start, np.ones(size, bool))
+    bs.put(16, np.ones(4, bool))
+    assert bs.to_array().tolist() == [0] * 16 + [1] * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.binary(max_size=5), st.integers(0, 2**32))
+def test_read_frames_the_payload_exactly(n, header, seed):
+    bs = BitString.from_array(random_bits(n, seed, 0.5))
+    data = header + bytes(bs.payload)
+    pos = len(header)
+    assert BitString.read(data, pos, n) == bs
+    with pytest.raises(TrailingDataError):
+        BitString.read(data + b"\x00", pos, n)
+    if bs.payload:
+        with pytest.raises(TruncatedError):
+            BitString.read(data[:-1], pos, n)
+    if n % 8:
+        padded = bytearray(data)
+        padded[-1] |= 1
+        with pytest.raises(PaddingError):
+            BitString.read(bytes(padded), pos, n)

@@ -15,6 +15,7 @@ from magkit.errors import (
     NotIntervalRestrictedError,
     NotSnapshotError,
     ShapeError,
+    TrailingDataError,
     TruncatedError,
 )
 from magkit.formats import write_mcs
@@ -225,7 +226,7 @@ def test_msc_malformed():
         read_msc(b"XSC1" + good[4:])
     with pytest.raises(TruncatedError):
         read_msc(good[:-1])
-    with pytest.raises(FormatError):
+    with pytest.raises(TrailingDataError):
         read_msc(good + b"\x00")
     bad_flags = bytearray(good)
     bad_flags[6] |= 0x02
