@@ -112,8 +112,9 @@ class BitString:
         else:
             self.payload[index >> 3] &= ~mask
 
-    def count(self) -> int:
-        return int.from_bytes(self.payload, "big").bit_count()
+    def count(self) -> int:  # BLOCK bytes at a time, so no M/8-byte int is built
+        return sum(int.from_bytes(self.payload[lo : lo + BLOCK], "big").bit_count()
+                   for lo in range(0, len(self.payload), BLOCK))
 
     def take(self, indices: np.ndarray) -> np.ndarray:
         """Bits at the given indices as a uint8 array."""

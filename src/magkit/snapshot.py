@@ -8,8 +8,9 @@ takes those bits out of the packed characteristic string; the decoder sets
 them, and with its flag the never-stored sequential couplings
 {(u, t_i), (u, t_i+1)}, into an empty one. Both hold O(M/8 + S + N) bytes
 (M possible edges, S spatial positions, N vertices), never one byte per
-possible edge. The positions, the stray-edge test and the same-node gather
-used by the coupling checks here and in topo all rank through core.
+possible edge. The stray-edge test and interval contraction and expansion
+decode each block of present ranks once, into the (node, instant) of both
+endpoints; the coupling verdicts decode none, but count gathered bits.
 
 Also here: the interval-contraction reduction that turns a TVG whose edges
 all span mapped time intervals (t_i, f(t_i)) into a plain spatial TVG, and
@@ -19,7 +20,7 @@ the diagonal/categorical multiplex coupling checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,10 +57,13 @@ def is_spatial(u: Sequence[int], v: Sequence[int]) -> bool:
     return u[1] == v[1]
 
 
+def _spatial_count(n_vertices: int, n_times: int) -> int:
+    return n_times * (n_vertices * n_vertices - n_vertices) // 2
+
+
 def spatial_edge_count(shape: CompanionTuple) -> int:
     """nT * (nV^2 - nV) / 2 possible spatial edges."""
-    n_vertices, n_times = _require_order2(shape)
-    return n_times * (n_vertices * n_vertices - n_vertices) // 2
+    return _spatial_count(*_require_order2(shape))
 
 
 def spatial_positions(shape: CompanionTuple) -> np.ndarray:
@@ -69,18 +73,15 @@ def spatial_positions(shape: CompanionTuple) -> np.ndarray:
     instant, pairs within a block lexicographic. With time-major vertex
     indexing each (block, row) is one contiguous rank run.
     """
-    n_vertices, n_times = _require_order2(shape)
+    n_vertices, _ = _require_order2(shape)
     n = shape.vertex_count
     rows = np.arange(n, dtype=np.int64)
     starts = ranks_from_pairs(n, rows, rows + 1)
     lengths = (n_vertices - 1) - (rows % n_vertices)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
     run_bases = np.repeat(
         starts - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths
     )
-    return run_bases + np.arange(total, dtype=np.int64)
+    return run_bases + np.arange(run_bases.size, dtype=np.int64)
 
 
 def coupling_positions(shape: CompanionTuple) -> np.ndarray:
@@ -112,7 +113,7 @@ class SnapshotPayload:
     def __post_init__(self):
         if self.n_vertices < 1 or self.n_times < 1:
             raise ShapeError("payload dimensions must be positive")
-        expected = self.n_times * (self.n_vertices**2 - self.n_vertices) // 2
+        expected = _spatial_count(self.n_vertices, self.n_times)
         if self.blocks.bit_length != expected:
             raise TruncatedError(
                 f"blocks hold {self.blocks.bit_length} bits, expected {expected}"
@@ -122,37 +123,45 @@ class SnapshotPayload:
         return CompanionTuple((self.n_vertices, self.n_times))
 
 
-def first_stray_rank(g: SimpleMag, implied_couplings: bool = False) -> int | None:
-    """Lowest rank of a present edge that is not spatial (nor, with
-    implied_couplings, a sequential coupling); None if there is none.
-
-    With time-major indexing, the pair (a, b) is spatial iff a // nV ==
-    b // nV, and a sequential coupling iff b == a + nV.
-    """
+def _decoded_blocks(g: SimpleMag) -> Iterator[tuple[np.ndarray, ...]]:
+    """(ranks, u, t, v, s) per rank block of g: the present ranks, ascending,
+    and the (node, instant) of both endpoints. Vertex (u, t) is u + t * nV."""
     n_vertices, _ = _require_order2(g.shape)
     for ranks in g.rank_blocks():
         a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
-        stray = a // n_vertices != b // n_vertices
-        if implied_couplings:
-            stray &= b != a + n_vertices
+        t, u = np.divmod(a, n_vertices)
+        s, v = np.divmod(b, n_vertices)
+        yield ranks, u, t, v, s
+
+
+def _stray(u, t, v, s, implied_couplings: bool) -> np.ndarray:
+    """Not spatial, nor (with implied_couplings) a coupling {(u, t), (u, t + 1)}."""
+    stray = t != s
+    if implied_couplings:
+        stray &= (u != v) | (s != t + 1)
+    return stray
+
+
+def first_stray_rank(g: SimpleMag, implied_couplings: bool = False) -> int | None:
+    """Lowest rank of a present edge that is not spatial (nor, with
+    implied_couplings, a sequential coupling); None if there is none."""
+    for ranks, u, t, v, s in _decoded_blocks(g):
+        stray = _stray(u, t, v, s, implied_couplings)
         if stray.any():
             return int(ranks[stray.argmax()])
     return None
 
 
-def first_non_spatial(g: SimpleMag, implied_couplings: bool = False):
-    """Lowest-rank present edge that is not spatial (nor an allowed
-    coupling); None if the MAG is snapshot-like."""
-    rank = first_stray_rank(g, implied_couplings)
-    return None if rank is None else edge_from_rank(g.shape, rank)
+def _raise_not_snapshot(shape: CompanionTuple, rank: int, implied_couplings: bool):
+    u, v = edge_from_rank(shape, rank)
+    kind = "spatial or sequential-coupling" if implied_couplings else "spatial"
+    raise NotSnapshotError(f"edge {u} -- {v} is not {kind}", edge=(u, v))
 
 
 def require_snapshot_like(g: SimpleMag, implied_couplings: bool = False) -> None:
-    edge = first_non_spatial(g, implied_couplings)
-    if edge is not None:
-        u, v = edge
-        kind = "spatial or sequential-coupling" if implied_couplings else "spatial"
-        raise NotSnapshotError(f"edge {u} -- {v} is not {kind}", edge=edge)
+    rank = first_stray_rank(g, implied_couplings)
+    if rank is not None:
+        _raise_not_snapshot(g.shape, rank, implied_couplings)
 
 
 def encode_snapshot(
@@ -210,7 +219,7 @@ def read_msc(data: bytes) -> SnapshotPayload:
     pos += 1
     if flags & ~1:
         raise FormatError(f"unknown flag bits 0x{flags:02x}")
-    block_bits = n_times * (n_vertices**2 - n_vertices) // 2
+    block_bits = _spatial_count(n_vertices, n_times)
     return SnapshotPayload(
         n_vertices, n_times, bool(flags & 1), BitString.read(data, pos, block_bits)
     )
@@ -275,13 +284,10 @@ def contract_intervals(g: SimpleMag, interval_map: IntervalMap) -> SimpleMag:
     interval_at[firsts] = np.arange(len(firsts))
     n_blocks = len(interval_map)
     out = SimpleMag(CompanionTuple((n_vertices, n_blocks)))
-    for ranks in g.rank_blocks():
-        a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
-        u, t_u = a % n_vertices, a // n_vertices
-        v, t_v = b % n_vertices, b // n_vertices
+    for ranks, u, t, v, s in _decoded_blocks(g):
         # canonical edge order puts the earlier instant first (time-major)
-        k = interval_at[t_u]
-        bad = (k < 0) | (lasts[k] != t_v) | (u >= v)
+        k = interval_at[t]
+        bad = (k < 0) | (lasts[k] != s) | (u >= v)
         if bad.any():
             _raise_not_interval(g.shape, int(ranks[bad.argmax()]), interval_map)
         out.bits.set_many(
@@ -316,16 +322,14 @@ def expand_intervals(
         )
     if interval_map.pairs[-1][1] >= time_count:
         raise ShapeError("interval map reaches past the requested instant count")
-    require_snapshot_like(g)
     firsts, lasts = np.array(interval_map.pairs).T
     out = SimpleMag(CompanionTuple((n_vertices, time_count)))
-    for ranks in g.rank_blocks():
-        a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
-        k = a // n_vertices
+    for ranks, u, t, v, s in _decoded_blocks(g):
+        stray = _stray(u, t, v, s, False)
+        if stray.any():  # blocks ascend, so this is the lowest-ranked stray
+            _raise_not_snapshot(g.shape, int(ranks[stray.argmax()]), False)
         out.bits.set_many(ranks_from_pairs(
-            n_vertices * time_count,
-            a % n_vertices + firsts[k] * n_vertices,
-            b % n_vertices + lasts[k] * n_vertices,
+            n_vertices * time_count, u + firsts[t] * n_vertices, v + lasts[t] * n_vertices
         ))
     return out
 
@@ -340,20 +344,16 @@ class CouplingCheck:
 def check_multiplex_couplings(g: SimpleMag) -> CouplingCheck:
     """Multiplex-style verdicts with the second aspect read as layers.
 
-    diagonal: every interlayer edge joins the same node to itself.
+    diagonal: every interlayer edge joins the same node to itself, that is,
+    the present spatial and same-node bits (disjoint sets) are all the edges.
     categorical: every pair of layers is coupled at every node.
     potentially_layer_connected: always true on a node-aligned MAG.
     """
-    n_vertices, n_layers = _require_order2(g.shape)
-    diagonal = True
-    for ranks in g.rank_blocks():
-        a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
-        across = a // n_vertices != b // n_vertices
-        if (across & (a % n_vertices != b % n_vertices)).any():
-            diagonal = False
-            break
-    categorical = all(
-        g.bits.take(same_node_ranks(g.shape, alpha)).all()
-        for alpha in range(n_layers - 1)
-    )
-    return CouplingCheck(diagonal, categorical, True)
+    _, n_layers = _require_order2(g.shape)
+    allowed = int(np.count_nonzero(g.bits.take(spatial_positions(g.shape))))
+    categorical = True
+    for alpha in range(n_layers - 1):
+        same_node = g.bits.take(same_node_ranks(g.shape, alpha))
+        allowed += int(np.count_nonzero(same_node))
+        categorical = categorical and bool(same_node.all())
+    return CouplingCheck(allowed == g.edge_count(), categorical, True)

@@ -29,7 +29,7 @@ from .core import (
     vertex_index,
 )
 from .errors import ArgumentError, ShapeError
-from .snapshot import first_stray_rank, same_node_ranks
+from .snapshot import _require_order2, first_stray_rank, same_node_ranks
 from .traversal import bfs_diameter
 
 _MATMUL_BLOCK = 256
@@ -174,8 +174,7 @@ def is_sequentially_coupled(g: SimpleMag | Adjacency):
     the first in (node, i, j) order.
     """
     g = _mag(g)
-    if g.shape.order != 2:
-        raise ShapeError(f"expected a second-order MAG, got order {g.shape.order}")
+    _require_order2(g.shape)
     first = None  # (node, i, j) of the first violation
     for i in range(g.shape.sizes[1] - 1):
         present = g.bits.take(same_node_ranks(g.shape, i))

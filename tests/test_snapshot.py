@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
-from magkit.bitstring import BitString
-from magkit.core import CompanionTuple, SimpleMag, edge_from_rank, edge_rank
+from magkit import snapshot
+from magkit.bitstring import BLOCK, BitString
+from magkit.core import CompanionTuple, SimpleMag, edge_from_rank
 from magkit.errors import (
     FormatError,
     MagError,
@@ -30,7 +31,6 @@ from magkit.snapshot import (
     decode_snapshot,
     encode_snapshot,
     expand_intervals,
-    first_non_spatial,
     first_stray_rank,
     is_spatial,
     msc_header_bits,
@@ -413,10 +413,9 @@ def test_multiplex_checks_match_oracle():
 def test_stray_edge_test_matches_mask_oracle(implied):
     for g in coupling_mags():
         expected = oracles.first_non_spatial(g, implied)
-        assert first_non_spatial(g, implied) == expected
+        rank = first_stray_rank(g, implied)
+        assert (None if rank is None else edge_from_rank(g.shape, rank)) == expected
         assert is_snapshot_like(g, implied) == (expected is None)
-        if expected is not None:
-            assert first_stray_rank(g, implied) == edge_rank(g.shape, *expected)
 
 
 def coupling_verdicts(g):
@@ -483,3 +482,82 @@ def test_sequential_coupling_gather_is_per_instant():
     verdict, peak = traced_peak(is_sequentially_coupled, coupled)
     assert verdict == (True, None)
     assert peak < m / 8, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_multiplex_checks_decode_no_ranks(monkeypatch):
+    calls = count_pair_decodes(monkeypatch)
+    coupled = decode_snapshot(SnapshotPayload(2, 1024, True, BitString(1024)))
+    m = coupled.shape.possible_edges
+    verdict, peak = traced_peak(check_multiplex_couplings, coupled)
+    assert verdict == CouplingCheck(True, False, True)
+    assert calls == []
+    assert peak < m / 8, f"peak {peak / 2**20:.2f} MiB"
+
+
+# One decode per rank block, and strays in later blocks.
+
+
+def count_pair_decodes(monkeypatch):
+    """List that gets one entry per snapshot.pairs_from_ranks call."""
+    calls = []
+    decode = snapshot.pairs_from_ranks
+
+    def counted(n, ranks):
+        calls.append(ranks.size)
+        return decode(n, ranks)
+
+    monkeypatch.setattr(snapshot, "pairs_from_ranks", counted)
+    return calls
+
+
+def test_expand_intervals_decodes_each_block_once(monkeypatch):
+    g = spatial_mag((64, 20), 5)
+    imap = IntervalMap(tuple((i, i + 1) for i in range(20)))
+    n_blocks = len(list(g.rank_blocks()))
+    calls = count_pair_decodes(monkeypatch)
+    out = expand_intervals(g, imap, 21)
+    assert n_blocks >= 3 and len(calls) == n_blocks
+    assert out.edge_count() == g.edge_count()
+
+
+def planted_strays(g, allowed):
+    """Copies of g with an edge outside `allowed`, a predicate on (u, v),
+    set in its 3rd rank block, and in both its 2nd and 3rd."""
+    assert g.edge_count() > 2 * BLOCK
+    blocks = list(g.rank_blocks())[1:3]
+    strays = []
+    for block in blocks:
+        rank = int(block[block.size // 2])
+        while g.bits.get(rank) or allowed(*edge_from_rank(g.shape, rank)):
+            rank += 1
+        assert rank < block[-1]
+        strays.append(rank)
+    for ranks in (strays[1:], strays):
+        strayed = g.copy()
+        for rank in ranks:
+            strayed.bits.set(rank)
+        yield strayed
+
+
+def not_snapshot(g, implied):
+    """The error the snapshot encoder must raise, from the mask oracle."""
+    u, v = oracles.first_non_spatial(g, implied)
+    kind = "spatial or sequential-coupling" if implied else "spatial"
+    return NotSnapshotError, f"edge {u} -- {v} is not {kind}", (u, v)
+
+
+def test_strays_in_later_blocks_match_oracles():
+    g = spatial_mag((128, 20), 6)
+    imap = IntervalMap(tuple((i, i + 1) for i in range(20)))
+    snapshot_like = lambda u, v: u[1] == v[1] or (u[0] == v[0] and v[1] == u[1] + 1)
+    for strayed in planted_strays(g, snapshot_like):
+        assert outcome(expand_intervals, strayed, imap, 21) == outcome(
+            oracles.expand_intervals, strayed, imap, 21)
+        for implied in (False, True):
+            assert outcome(encode_snapshot, strayed, False, implied) == not_snapshot(
+                strayed, implied)
+    expanded = expand_intervals(g, imap, 21)
+    canonical = lambda u, v: (u[1], v[1]) in imap.pairs and u[0] < v[0]
+    for strayed in planted_strays(expanded, canonical):
+        assert outcome(contract_intervals, strayed, imap) == outcome(
+            oracles.contract_intervals, strayed, imap)
