@@ -11,15 +11,17 @@ lines sorted by edge rank. "#" starts a comment; blank lines are ignored on
 read. Writing is canonical, reading is lenient about edge order.
 
 Both directions go through the array kernel of magkit.core, a block of
-edges or a chunk of text at a time. The reader checks each chunk in bulk;
-only when that check fails does it replay the chunk line by line, to raise
-the error of the first bad line.
+edges or a chunk of text at a time. The reader joins the tokens of each
+chunk back into write_magt's line form, checks that form with one regex and
+parses it with one np.fromstring. A chunk outside that form (integer
+spellings such as "+1" or "0_0", runs of more than 18 digits, any syntax
+error) or with a bad edge is read line by line instead: valid lines set
+their edges, and the first bad line raises its error.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, compress, cycle
 
 import numpy as np
 
@@ -92,6 +94,7 @@ def _edge_lines(values: np.ndarray) -> str:
 # What str.splitlines breaks lines on: a comment ends at the first of these.
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _COMMENT = re.compile(f"#[^{_LINE_BREAKS}]*")
+_BREAK = re.compile(f"\r\n|[{_LINE_BREAKS}]")
 # Characters per chunk the reader splits into lines at once (about 2,000
 # edge lines of order 3). Its per-line Python objects cost far more memory
 # than the text they come from, so chunks stay small.
@@ -99,12 +102,12 @@ _TEXT_CHUNK = 1 << 15
 
 
 def _text_chunks(text: str):
-    """Consecutive pieces of text, each but the last ending in "\n", so
-    that their lines are the lines of text."""
+    """Consecutive pieces of text, each but the last ending in a line
+    break, so that their lines are the lines of text."""
     start = 0
     while start < len(text):
-        cut = text.find("\n", start + _TEXT_CHUNK)
-        stop = len(text) if cut < 0 else cut + 1
+        cut = _BREAK.search(text, start + _TEXT_CHUNK)
+        stop = len(text) if cut is None else cut.end()
         yield text[start:stop]
         start = stop
 
@@ -134,26 +137,16 @@ def _header(tokens: list[str], lineno: int) -> SimpleMag:
         raise ParseError(str(exc), line=lineno) from exc
 
 
-def _add_edges(g: SimpleMag, lines: list[list[str]]) -> bool:
+def _add_lines_in_bulk(g: SimpleMag, lines: list[list[str]]) -> bool:
     """Set the edges of tokenized lines in g; False, with g unchanged, when
-    any line is not a valid edge line or repeats an edge."""
+    the lines are not all in write_magt's form or do not name new edges."""
     p = g.shape.order
-    width = 2 * p + 1
-    counts = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-    if ((counts != 0) & (counts != width)).any():
+    form = "\n".join(map(" ".join, filter(None, lines)))
+    # at most 18 digits, so that every value fits an int64
+    if re.sub(f"e(?: [0-9]{{1,18}}){{{2 * p}}}(?:\n|\\Z)", "", form):
         return False
-    tokens = list(chain.from_iterable(lines))
-    if tokens[::width].count("e") != len(tokens) // width:
-        return False
-    try:
-        values = np.fromiter(
-            map(int, compress(tokens, cycle((False,) + (True,) * (2 * p)))),
-            dtype=np.int64,
-            count=len(tokens) // width * 2 * p,
-        ).reshape(-1, 2, p)
-    except (ValueError, OverflowError):
-        return False
-    if ((values < 0) | (values >= np.array(g.shape.sizes))).any():
+    values = np.fromstring(form.replace("e", ""), dtype=np.int64, sep=" ").reshape(-1, 2, p)
+    if (values >= np.array(g.shape.sizes)).any():
         return False
     idx = indices_from_coords(g.shape, values)
     a, b = idx.min(axis=1), idx.max(axis=1)
@@ -166,8 +159,9 @@ def _add_edges(g: SimpleMag, lines: list[list[str]]) -> bool:
     return True
 
 
-def _raise_first_error(g: SimpleMag, lines: list[list[str]], first_lineno: int):
-    """Raise the error of the first bad edge line, in file order."""
+def _add_lines_one_by_one(g: SimpleMag, lines: list[list[str]], first_lineno: int):
+    """Set the edges of tokenized lines in g in file order, raising the
+    error of the first bad line."""
     p = g.shape.order
     for lineno, tokens in enumerate(lines, start=first_lineno):
         if not tokens:
@@ -188,7 +182,6 @@ def _raise_first_error(g: SimpleMag, lines: list[list[str]], first_lineno: int):
             u, v = edge_from_rank(g.shape, rank)
             raise DuplicateEdgeError(f"edge {u} -- {v} repeated", line=lineno)
         g.bits.set(rank)
-    raise AssertionError("the bulk edge check rejected valid lines")
 
 
 def read_magt(text: str) -> SimpleMag:
@@ -205,8 +198,8 @@ def read_magt(text: str) -> SimpleMag:
             if start < len(lines):
                 g = _header(lines[start], lineno + start)
                 start += 1
-        if g is not None and not _add_edges(g, lines[start:]):
-            _raise_first_error(g, lines[start:], lineno + start)
+        if g is not None and not _add_lines_in_bulk(g, lines[start:]):
+            _add_lines_one_by_one(g, lines[start:], lineno + start)
         lineno += len(lines)
     if g is None:
         raise ParseError("no 'mag' header found")

@@ -1,6 +1,7 @@
 """Binary and text characteristic-string formats."""
 
 import functools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +236,7 @@ def chunk_texts():
             True),
         "header after a chunk of comments": ("# pad\n" * 8000 + "\n \n" + text, True),
         "integer spellings in a later chunk": (text + "e +1 0_0 00 \u0663 0 -0\n", True),
+        "coordinate past 18 digits": (text + "e 1 0 0 0000000000000000003 0 0\n", True),
         "comments only": ("# nothing\n" * 12000, False),
         "duplicate across chunks": ("".join(lines[:late] + [lines[2]] + lines[late:]), False),
         "mirrored duplicate across chunks": (
@@ -244,6 +246,8 @@ def chunk_texts():
         "first of two errors": ("".join(
             lines[:late] + ["e 0 0 0 0 0 0\n"] + lines[late:-1] + ["e 1\n"]), False),
         "range error in a later chunk": (text + "e 0 0 0 8 0 0\n", False),
+        "CRLF and a range error in a later chunk": (
+            text.replace("\n", "\r\n") + "e 0 0 0 8 0 0\r\n", False),
         "huge coordinate": (text + "e 0 0 0 99999999999999999999 0 0\n", False),
         "negative coordinate": (text + "e 0 0 0 -1 0 0\n", False),
         "second header": ("".join(lines[:late] + ["mag 3 8 8 4\n"] + lines[late:]), False),
@@ -263,3 +267,30 @@ def test_read_magt_matches_oracle_across_chunks(name):
 def test_line_breaks_are_those_of_splitlines():
     breaks = [chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2]
     assert sorted(breaks) == sorted(formats._LINE_BREAKS)
+
+
+@pytest.mark.parametrize("name", [
+    "plain", "CRLF and comments", "CR only", "CR only and comments", "other line breaks",
+    "non-ASCII comments and spaces", "header after a chunk of comments"])
+def test_lenient_text_is_read_in_bulk(name, monkeypatch):
+    def one_by_one(*args):
+        raise AssertionError("a chunk was read line by line")
+
+    monkeypatch.setattr(formats, "_add_lines_one_by_one", one_by_one)
+    text, _ = chunk_texts()[name]
+    assert outcome(read_magt, text) == outcome(oracles.read_magt, text)
+
+
+def test_chunks_end_at_every_line_break():
+    def peak(text):
+        tracemalloc.start()
+        try:
+            read_magt(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    text, _ = chunk_texts()["plain"]
+    bound = 2 * peak(text)
+    for line_break in "\r", "\u2028", "\x85":
+        assert peak(text.replace("\n", line_break)) < bound
