@@ -8,9 +8,10 @@ takes those bits out of the packed characteristic string; the decoder sets
 them, and with its flag the never-stored sequential couplings
 {(u, t_i), (u, t_i+1)}, into an empty one. Both hold O(M/8 + S + N) bytes
 (M possible edges, S spatial positions, N vertices), never one byte per
-possible edge. The stray-edge test and interval contraction and expansion
-decode each block of present ranks once, into the (node, instant) of both
-endpoints; the coupling verdicts decode none, but count gathered bits.
+possible edge. Every order-2 rule is a set of allowed ranks: the stray-edge
+test counts the present bits there and reads rank blocks only when that
+count falls short, to name the lowest stray; contraction and expansion
+gather the bits at one rank set and scatter them to another.
 
 Also here: the interval-contraction reduction that turns a TVG whose edges
 all span mapped time intervals (t_i, f(t_i)) into a plain spatial TVG, and
@@ -20,18 +21,12 @@ the diagonal/categorical multiplex coupling checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bitstring import BitString, decode_uvarint, encode_uvarint
-from .core import (
-    CompanionTuple,
-    SimpleMag,
-    edge_from_rank,
-    pairs_from_ranks,
-    ranks_from_pairs,
-)
+from .core import CompanionTuple, SimpleMag, edge_from_rank, ranks_from_pairs
 from .errors import (
     BadMagicError,
     FormatError,
@@ -66,22 +61,29 @@ def spatial_edge_count(shape: CompanionTuple) -> int:
     return _spatial_count(*_require_order2(shape))
 
 
-def spatial_positions(shape: CompanionTuple) -> np.ndarray:
-    """Global ranks of all spatial pairs, in payload block order.
-
-    Entry k is the rank of the k-th payload bit: blocks ordered by time
-    instant, pairs within a block lexicographic. With time-major vertex
-    indexing each (block, row) is one contiguous rank run.
-    """
+def _block_positions(shape: CompanionTuple, firsts, lasts) -> np.ndarray:
+    """Ranks of {(u, f), (v, l)}, u < v, one block per instant pair (f, l),
+    pairs within a block lexicographic. With time-major vertex indexing each
+    row (u, f) of a block is one contiguous rank run of nV - 1 - u ranks."""
     n_vertices, _ = _require_order2(shape)
-    n = shape.vertex_count
-    rows = np.arange(n, dtype=np.int64)
-    starts = ranks_from_pairs(n, rows, rows + 1)
-    lengths = (n_vertices - 1) - (rows % n_vertices)
+    node = np.arange(n_vertices, dtype=np.int64)
+    starts = ranks_from_pairs(
+        shape.vertex_count,
+        (node + np.asarray(firsts, dtype=np.int64)[:, None] * n_vertices).ravel(),
+        (node + 1 + np.asarray(lasts, dtype=np.int64)[:, None] * n_vertices).ravel(),
+    )
+    lengths = np.tile((n_vertices - 1) - node, len(firsts))
     run_bases = np.repeat(
         starts - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths
     )
     return run_bases + np.arange(run_bases.size, dtype=np.int64)
+
+
+def spatial_positions(shape: CompanionTuple) -> np.ndarray:
+    """Global ranks of all spatial pairs, in payload block order: blocks
+    ordered by time instant, pairs within a block lexicographic."""
+    instants = np.arange(_require_order2(shape)[1])
+    return _block_positions(shape, instants, instants)
 
 
 def coupling_positions(shape: CompanionTuple) -> np.ndarray:
@@ -123,33 +125,30 @@ class SnapshotPayload:
         return CompanionTuple((self.n_vertices, self.n_times))
 
 
-def _decoded_blocks(g: SimpleMag) -> Iterator[tuple[np.ndarray, ...]]:
-    """(ranks, u, t, v, s) per rank block of g: the present ranks, ascending,
-    and the (node, instant) of both endpoints. Vertex (u, t) is u + t * nV."""
-    n_vertices, _ = _require_order2(g.shape)
+def _first_outside(g: SimpleMag, *allowed: np.ndarray) -> int | None:
+    """Lowest rank of a present edge at none of the allowed ranks (disjoint
+    ascending arrays), None if there is none; reads rank blocks only when
+    the present allowed bits are fewer than the edges."""
+    bits = [g.bits.take(ranks) == 1 for ranks in allowed]
+    if sum(int(np.count_nonzero(b)) for b in bits) == g.edge_count():
+        return None
+    # present allowed ranks, with M as a sentinel past every rank
+    inside = np.sort(np.concatenate(
+        [ranks[b] for ranks, b in zip(allowed, bits)] + [[g.shape.possible_edges]]
+    ))
     for ranks in g.rank_blocks():
-        a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
-        t, u = np.divmod(a, n_vertices)
-        s, v = np.divmod(b, n_vertices)
-        yield ranks, u, t, v, s
-
-
-def _stray(u, t, v, s, implied_couplings: bool) -> np.ndarray:
-    """Not spatial, nor (with implied_couplings) a coupling {(u, t), (u, t + 1)}."""
-    stray = t != s
-    if implied_couplings:
-        stray &= (u != v) | (s != t + 1)
-    return stray
+        outside = inside[np.searchsorted(inside, ranks)] != ranks
+        if outside.any():
+            return int(ranks[outside.argmax()])
 
 
 def first_stray_rank(g: SimpleMag, implied_couplings: bool = False) -> int | None:
     """Lowest rank of a present edge that is not spatial (nor, with
     implied_couplings, a sequential coupling); None if there is none."""
-    for ranks, u, t, v, s in _decoded_blocks(g):
-        stray = _stray(u, t, v, s, implied_couplings)
-        if stray.any():
-            return int(ranks[stray.argmax()])
-    return None
+    allowed = [spatial_positions(g.shape)]
+    if implied_couplings:
+        allowed.append(coupling_positions(g.shape))
+    return _first_outside(g, *allowed)
 
 
 def _raise_not_snapshot(shape: CompanionTuple, rank: int, implied_couplings: bool):
@@ -279,20 +278,12 @@ def contract_intervals(g: SimpleMag, interval_map: IntervalMap) -> SimpleMag:
             f"interval map reaches instant {interval_map.pairs[-1][1]}, "
             f"MAG has {n_times}"
         )
-    firsts, lasts = np.array(interval_map.pairs).T
-    interval_at = np.full(n_times, -1)  # interval index by its first instant
-    interval_at[firsts] = np.arange(len(firsts))
-    n_blocks = len(interval_map)
-    out = SimpleMag(CompanionTuple((n_vertices, n_blocks)))
-    for ranks, u, t, v, s in _decoded_blocks(g):
-        # canonical edge order puts the earlier instant first (time-major)
-        k = interval_at[t]
-        bad = (k < 0) | (lasts[k] != s) | (u >= v)
-        if bad.any():
-            _raise_not_interval(g.shape, int(ranks[bad.argmax()]), interval_map)
-        out.bits.set_many(
-            ranks_from_pairs(n_vertices * n_blocks, u + k * n_vertices, v + k * n_vertices)
-        )
+    positions = _block_positions(g.shape, *np.array(interval_map.pairs).T)
+    rank = _first_outside(g, positions)
+    if rank is not None:
+        _raise_not_interval(g.shape, rank, interval_map)
+    out = SimpleMag(CompanionTuple((n_vertices, len(interval_map))))
+    out.bits.set_many(spatial_positions(out.shape)[g.bits.take(positions) == 1])
     return out
 
 
@@ -322,15 +313,10 @@ def expand_intervals(
         )
     if interval_map.pairs[-1][1] >= time_count:
         raise ShapeError("interval map reaches past the requested instant count")
-    firsts, lasts = np.array(interval_map.pairs).T
+    require_snapshot_like(g)
     out = SimpleMag(CompanionTuple((n_vertices, time_count)))
-    for ranks, u, t, v, s in _decoded_blocks(g):
-        stray = _stray(u, t, v, s, False)
-        if stray.any():  # blocks ascend, so this is the lowest-ranked stray
-            _raise_not_snapshot(g.shape, int(ranks[stray.argmax()]), False)
-        out.bits.set_many(ranks_from_pairs(
-            n_vertices * time_count, u + firsts[t] * n_vertices, v + lasts[t] * n_vertices
-        ))
+    positions = _block_positions(out.shape, *np.array(interval_map.pairs).T)
+    out.bits.set_many(positions[g.bits.take(spatial_positions(g.shape)) == 1])
     return out
 
 

@@ -1,9 +1,13 @@
 """CLI contracts: determinism, exit codes, pipeline round trips."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import oracles
 from magkit.cli import main
 from magkit.core import CompanionTuple, SimpleMag
 from magkit.formats import read_mcs, write_mcs
@@ -122,6 +126,35 @@ def test_compare_info_same_file(tmp_path, capsys):
                 "-o", str(src)]) == 0
     assert run(["compare-info", str(src), str(src), "--compressor", "lzma"]) == 0
     assert json.loads(capsys.readouterr().out)["ratio"] == 1.0
+
+
+def test_compare_info_rejects_non_snapshot_spatial_file(tmp_path, capsys):
+    general = tmp_path / "g.mcs"
+    assert run(["gen", "--aspects", "8,4", "--seed", "2", "-o", str(general)]) == 0
+    assert run(["compare-info", str(general), str(general)]) == 3
+    u, v = oracles.first_non_spatial(read_mcs(general.read_bytes()))
+    first, last = capsys.readouterr().err.splitlines()
+    assert first == "e " + " ".join(str(c) for c in (*u, *v))
+    assert json.loads(last)["error"] == "NotSnapshotError"
+
+
+def readme_cli_block():
+    """The magkit command lines of README's CLI section, with their comments."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.partition("#")[::2] for line in block.splitlines()
+            if line.startswith("magkit ")]
+
+
+def test_readme_cli_example_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    equalities = 0
+    for command, comment in readme_cli_block():
+        assert run(shlex.split(command)[1:]) == 0, (command, capsys.readouterr().err)
+        for a, b in re.findall(r"(\S+) == (\S+)", comment):
+            assert Path(a).read_bytes() == Path(b).read_bytes(), comment
+            equalities += 1
+    assert equalities == 2
 
 
 def test_convert_roundtrip(tmp_path):

@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from magkit import snapshot
 from magkit.bitstring import BLOCK, BitString
 from magkit.core import CompanionTuple, SimpleMag, edge_from_rank
 from magkit.errors import (
@@ -20,6 +21,7 @@ from magkit.errors import (
     TruncatedError,
 )
 from magkit.formats import write_mcs
+from magkit.kproxy import compare_info, get_adapter
 from magkit.randgen import GenSpec, generate
 from magkit.snapshot import (
     CouplingCheck,
@@ -379,6 +381,61 @@ def test_contract_and_expand_match_oracle(seed):
             oracles.expand_intervals, g, imap, 2 * sizes[1] + 1)
 
 
+@st.composite
+def interval_cases(draw):
+    """(MAG, map, stray kind): random interval-restricted edges at
+    probability p, plus one planted edge of a rejected kind or none."""
+    n_vertices, n_times = draw(st.integers(1, 8)), draw(st.integers(2, 10))
+    pairs, t = [], 0
+    while t < n_times - 1 and (not pairs or draw(st.booleans())):
+        pairs.append((t, draw(st.integers(t + 1, n_times - 1))))
+        t = pairs[-1][1]
+    imap = IntervalMap(tuple(pairs))
+    g = SimpleMag(CompanionTuple((n_vertices, n_times)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([0.0, 1 / 16, 1 / 2, 1.0]))
+    for i, j in imap.pairs:
+        for u, v in itertools.combinations(range(n_vertices), 2):
+            if rng.random() < p:
+                g.set_edge((u, i), (v, j))
+    kind = draw(st.sampled_from(["none", "unmapped", "coupling", "mirrored"]))
+    node = st.integers(0, n_vertices - 1)
+    i, j = draw(st.sampled_from(imap.pairs))
+    if kind == "unmapped":
+        i = draw(st.integers(0, n_times - 1))
+        j = draw(st.integers(i, n_times - 1))
+        u, v = draw(node), draw(node)
+        assume((i, j) not in imap.pairs and (i != j or u != v))
+        g.set_edge((u, i), (v, j))
+    elif kind == "coupling":
+        u = draw(node)
+        g.set_edge((u, i), (u, j))
+    elif kind == "mirrored":
+        assume(n_vertices > 1)
+        u = draw(st.integers(0, n_vertices - 2))
+        g.set_edge((draw(st.integers(u + 1, n_vertices - 1)), i), (u, j))
+    return g, imap, kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_cases())
+def test_arbitrary_interval_maps_match_oracle(case):
+    g, imap, kind = case
+    n_vertices, n_times = g.shape.sizes
+    assert (spatial_positions(g.shape) == oracles.spatial_positions(g.shape)).all()
+    result = outcome(contract_intervals, g, imap)
+    assert result == outcome(oracles.contract_intervals, g, imap)
+    assert (result[0] == "ok") == (kind == "none")
+    if kind == "none":
+        contracted = result[1]
+    else:  # with two or more intervals, a stray across contracted instants
+        contracted = SimpleMag(CompanionTuple((n_vertices, len(imap))))
+        if len(imap) > 1:
+            contracted.set_edge((0, 0), (n_vertices - 1, len(imap) - 1))
+    assert outcome(expand_intervals, contracted, imap, n_times) == outcome(
+        oracles.expand_intervals, contracted, imap, n_times)
+
+
 def coupling_mags():
     yield SimpleMag(CompanionTuple((3, 2)))
     for sizes, p in [((5, 4), (1, 8)), ((4, 3), (1, 2)), ((3, 1), (1, 2)), ((1, 5), (1, 1))]:
@@ -485,7 +542,7 @@ def test_sequential_coupling_gather_is_per_instant():
 
 
 def test_multiplex_checks_decode_no_ranks(monkeypatch):
-    calls = count_pair_decodes(monkeypatch)
+    calls = count_block_reads(monkeypatch)
     coupled = decode_snapshot(SnapshotPayload(2, 1024, True, BitString(1024)))
     m = coupled.shape.possible_edges
     verdict, peak = traced_peak(check_multiplex_couplings, coupled)
@@ -494,30 +551,47 @@ def test_multiplex_checks_decode_no_ranks(monkeypatch):
     assert peak < m / 8, f"peak {peak / 2**20:.2f} MiB"
 
 
-# One decode per rank block, and strays in later blocks.
+# No rank block read on allowed inputs, and strays in later blocks.
 
 
-def count_pair_decodes(monkeypatch):
-    """List that gets one entry per snapshot.pairs_from_ranks call."""
+def count_block_reads(monkeypatch):
+    """List that gets one entry, its size, per block of present ranks read."""
     calls = []
-    decode = snapshot.pairs_from_ranks
+    rank_blocks = SimpleMag.rank_blocks
 
-    def counted(n, ranks):
-        calls.append(ranks.size)
-        return decode(n, ranks)
+    def counted(self):
+        for ranks in rank_blocks(self):
+            calls.append(ranks.size)
+            yield ranks
 
-    monkeypatch.setattr(snapshot, "pairs_from_ranks", counted)
+    monkeypatch.setattr(SimpleMag, "rank_blocks", counted)
     return calls
 
 
-def test_expand_intervals_decodes_each_block_once(monkeypatch):
+def test_expand_intervals_reads_no_rank_block(monkeypatch):
     g = spatial_mag((64, 20), 5)
     imap = IntervalMap(tuple((i, i + 1) for i in range(20)))
-    n_blocks = len(list(g.rank_blocks()))
-    calls = count_pair_decodes(monkeypatch)
+    assert len(list(g.rank_blocks())) >= 3
+    calls = count_block_reads(monkeypatch)
     out = expand_intervals(g, imap, 21)
-    assert n_blocks >= 3 and len(calls) == n_blocks
+    assert calls == []
     assert out.edge_count() == g.edge_count()
+
+
+def test_snapshot_like_checks_read_no_rank_block(monkeypatch):
+    g = spatial_mag((64, 20), 5)
+    coupled = decode_snapshot(encode_snapshot(g, implied_couplings=True))
+    imap = IntervalMap(tuple((i, i + 1) for i in range(19)))
+    intervals = expand_intervals(spatial_mag((64, 19), 6), imap, 20)
+    assert len(list(intervals.rank_blocks())) >= 3
+    calls = count_block_reads(monkeypatch)
+    for implied in (False, True):
+        assert is_snapshot_like(g, implied) and is_snapshot_like(coupled, True)
+        encode_snapshot(g, implied_couplings=implied)
+    encode_snapshot(coupled, implied_couplings=True)
+    compare_info(coupled, g, get_adapter("zlib"))
+    assert contract_intervals(intervals, imap).edge_count() == intervals.edge_count()
+    assert calls == []
 
 
 def planted_strays(g, allowed):
