@@ -34,6 +34,8 @@ from .snapshot import (
     decode_snapshot,
     encode_snapshot,
     expand_intervals,
+    is_sequentially_coupled,
+    is_snapshot_like,
     is_spatial,
     read_msc,
     spatial_edge_count,
@@ -44,8 +46,6 @@ from .topo import (
     composite_diameter,
     degree_profile,
     is_non_sequential_interdimensional,
-    is_sequentially_coupled,
-    is_snapshot_like,
     non_sequential_census,
     topo_report,
     verify_non_sequential_reachability,

@@ -6,7 +6,8 @@ identical invocations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or malformed input,
 3 domain violation (e.g. encoding a non-snapshot MAG). Failures print one
-machine-readable JSON object on stderr.
+machine-readable JSON object on stderr; an exit-3 failure that names an edge
+first prints that edge on its own line as a `.magt` edge line `e u... v...`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from pathlib import Path
 
 from . import kproxy, randgen, snapshot, topo
 from .core import CompanionTuple
-from .errors import (
-    ArgumentError,
-    MagError,
-    NotIntervalRestrictedError,
-    NotSnapshotError,
-    ParseError,
-)
+from .errors import ArgumentError, MagError, NotSnapshotError, ParseError
 from .formats import read_magt, read_mcs, write_magt, write_mcs
 
 EXIT_OK = 0
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fail(code: int, error: Exception) -> int:
     payload = {"error": type(error).__name__, "message": str(error)}
-    if isinstance(error, (NotSnapshotError, NotIntervalRestrictedError)) and error.edge:
+    if isinstance(error, NotSnapshotError) and error.edge:
         u, v = error.edge
         payload["edge"] = "e " + " ".join(str(c) for c in (*u, *v))
         print(payload["edge"], file=sys.stderr)
@@ -220,7 +215,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NotSnapshotError, NotIntervalRestrictedError) as exc:
+    except NotSnapshotError as exc:
         return _fail(EXIT_DOMAIN, exc)
     except MagError as exc:
         return _fail(EXIT_USAGE, exc)

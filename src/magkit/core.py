@@ -265,4 +265,5 @@ class SimpleMag:
         return self.shape == other.shape and self.bits == other.bits
 
     def __repr__(self) -> str:
-        return f"SimpleMag(shape={self.shape.sizes}, edges={self.edge_count()})"
+        name = type(self).__name__
+        return f"{name}(shape={self.shape.sizes}, edges={self.edge_count()})"

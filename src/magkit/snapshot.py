@@ -15,7 +15,8 @@ gather the bits at one rank set and scatter them to another.
 
 Also here: the interval-contraction reduction that turns a TVG whose edges
 all span mapped time intervals (t_i, f(t_i)) into a plain spatial TVG, and
-the diagonal/categorical multiplex coupling checks.
+every order-2 verdict: snapshot-likeness (the stray-edge test), and the
+sequential and multiplex coupling checks, which share one same-node gather.
 """
 
 from __future__ import annotations
@@ -93,14 +94,16 @@ def coupling_positions(shape: CompanionTuple) -> np.ndarray:
     return ranks_from_pairs(shape.vertex_count, a, a + n_vertices)
 
 
-def same_node_ranks(shape: CompanionTuple, i: int) -> np.ndarray:
-    """(nV, nT - 1 - i) ranks of {(u, t_i), (u, t_j)}: row u, column j - i - 1."""
-    n_vertices, n_times = _require_order2(shape)
+def _same_node_bits(g: SimpleMag):
+    """For each instant t_i but the last, the (nV, nT - 1 - i) present bits
+    of {(u, t_i), (u, t_j)}, j > i: row u, column j - i - 1."""
+    n_vertices, n_times = _require_order2(g.shape)
     node = np.arange(n_vertices, dtype=np.int64)[:, None]
-    later = np.arange(i + 1, n_times, dtype=np.int64)
-    return ranks_from_pairs(
-        shape.vertex_count, node + i * n_vertices, node + later * n_vertices
-    )
+    for i in range(n_times - 1):
+        later = np.arange(i + 1, n_times, dtype=np.int64)
+        yield g.bits.take(ranks_from_pairs(
+            g.shape.vertex_count, node + i * n_vertices, node + later * n_vertices
+        ))
 
 
 @dataclass
@@ -151,16 +154,18 @@ def first_stray_rank(g: SimpleMag, implied_couplings: bool = False) -> int | Non
     return _first_outside(g, *allowed)
 
 
-def _raise_not_snapshot(shape: CompanionTuple, rank: int, implied_couplings: bool):
-    u, v = edge_from_rank(shape, rank)
-    kind = "spatial or sequential-coupling" if implied_couplings else "spatial"
-    raise NotSnapshotError(f"edge {u} -- {v} is not {kind}", edge=(u, v))
+def is_snapshot_like(g: SimpleMag, implied_couplings: bool = False) -> bool:
+    """True iff every present edge is spatial (or a sequential coupling
+    when implied_couplings), i.e. the snapshot encoder would accept g."""
+    return first_stray_rank(g, implied_couplings) is None
 
 
 def require_snapshot_like(g: SimpleMag, implied_couplings: bool = False) -> None:
     rank = first_stray_rank(g, implied_couplings)
     if rank is not None:
-        _raise_not_snapshot(g.shape, rank, implied_couplings)
+        u, v = edge_from_rank(g.shape, rank)
+        kind = "spatial or sequential-coupling" if implied_couplings else "spatial"
+        raise NotSnapshotError(f"edge {u} -- {v} is not {kind}", edge=(u, v))
 
 
 def encode_snapshot(
@@ -332,14 +337,37 @@ def check_multiplex_couplings(g: SimpleMag) -> CouplingCheck:
 
     diagonal: every interlayer edge joins the same node to itself, that is,
     the present spatial and same-node bits (disjoint sets) are all the edges.
-    categorical: every pair of layers is coupled at every node.
+    categorical: every pair of layers is coupled at every node, that is, all
+    nV * nL(nL - 1)/2 same-node bits are present.
     potentially_layer_connected: always true on a node-aligned MAG.
     """
-    _, n_layers = _require_order2(g.shape)
-    allowed = int(np.count_nonzero(g.bits.take(spatial_positions(g.shape))))
-    categorical = True
-    for alpha in range(n_layers - 1):
-        same_node = g.bits.take(same_node_ranks(g.shape, alpha))
-        allowed += int(np.count_nonzero(same_node))
-        categorical = categorical and bool(same_node.all())
-    return CouplingCheck(allowed == g.edge_count(), categorical, True)
+    n_vertices, n_layers = _require_order2(g.shape)
+    spatial = int(np.count_nonzero(g.bits.take(spatial_positions(g.shape))))
+    same_node = sum(int(np.count_nonzero(bits)) for bits in _same_node_bits(g))
+    return CouplingCheck(
+        spatial + same_node == g.edge_count(),
+        same_node == n_vertices * n_layers * (n_layers - 1) // 2,
+        True,
+    )
+
+
+def is_sequentially_coupled(g: SimpleMag):
+    """(flag, first violation) for the sequential-coupling test.
+
+    Holds iff every same-node temporal edge spans consecutive instants and
+    every node is coupled to itself at every consecutive pair of instants.
+    A violation is ("missing-coupling" | "non-sequential-coupling", (u, v)),
+    the first in (node, i, j) order.
+    """
+    first = None  # (node, i, j) of the first violation
+    for i, present in enumerate(_same_node_bits(g)):
+        bad = present != (np.arange(present.shape[1]) == 0)
+        if bad.any():
+            node, col = divmod(int(bad.argmax()), present.shape[1])
+            if first is None or node < first[0]:
+                first = (node, i, i + 1 + col)
+    if first is None:
+        return True, None
+    node, i, j = first
+    kind = "missing-coupling" if j == i + 1 else "non-sequential-coupling"
+    return False, (kind, ((node, i), (node, j)))

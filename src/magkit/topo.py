@@ -1,12 +1,14 @@
 """Topology analyzers over the composite-edge structure.
 
 Degrees, composite diameter, common neighbors (the interior vertices of the
-vertex-disjoint 2-paths between a pair), sequential-coupling and
-snapshot-likeness verdicts, and detection of non-sequential interdimensional
-edges: edges whose coordinates on a chosen aspect differ by two or more
-(transtemporal when that aspect is time, crosslayer when it is a layer type).
+vertex-disjoint 2-paths between a pair), and detection of non-sequential
+interdimensional edges: edges whose coordinates on a chosen aspect differ by
+two or more (transtemporal when that aspect is time, crosslayer when it is a
+layer type). The report also carries two order-2 verdicts of
+`magkit.snapshot`, bound here: sequential coupling and snapshot-likeness.
 
-One adjacency is built once per report and shared by every analyzer: a
+One adjacency is built once per report and shared by every analyzer: an
+`Adjacency` is the MAG itself (a SimpleMag sharing its shape and bits) plus a
 dense uint8 matrix A, from which one blocked pass over A·A keeps the
 common-neighbor extremes and the distance <= 2 mask A ∨ A² (the matrix form
 of MAG traversal). The diameter and the non-sequential reachability are
@@ -29,21 +31,22 @@ from .core import (
     vertex_index,
 )
 from .errors import ArgumentError, ShapeError
-from .snapshot import _require_order2, first_stray_rank, same_node_ranks
+from .snapshot import is_sequentially_coupled, is_snapshot_like
 from .traversal import bfs_diameter
 
 _MATMUL_BLOCK = 256
 
 
-class Adjacency:
-    """The adjacency of one MAG, built once and read by every analyzer.
+class Adjacency(SimpleMag):
+    """A MAG with its adjacency, built once and read by every analyzer.
 
-    Holds the dense matrix; the A·A pass is computed on first use. Every
-    public analyzer accepts either a SimpleMag or an Adjacency.
+    Shares g's shape and bits, so mutating them after the build leaves the
+    matrix stale. Holds the dense matrix; the A·A pass is computed on first
+    use.
     """
 
     def __init__(self, g: SimpleMag):
-        self.mag = g
+        super().__init__(g.shape, g.bits)
         self.matrix = dense_adjacency(g)
 
     @property
@@ -74,12 +77,8 @@ class Adjacency:
         return within, None if n < 2 else (int(low), int(high))
 
 
-def _adjacency(g: SimpleMag | Adjacency) -> Adjacency:
+def _adjacency(g: SimpleMag) -> Adjacency:
     return g if isinstance(g, Adjacency) else Adjacency(g)
-
-
-def _mag(g: SimpleMag | Adjacency) -> SimpleMag:
-    return g.mag if isinstance(g, Adjacency) else g
 
 
 def _square_blocks(matrix: np.ndarray):
@@ -91,13 +90,13 @@ def _square_blocks(matrix: np.ndarray):
         yield lo, hi, a[lo:hi] @ a
 
 
-def adjacency_rows(g: SimpleMag | Adjacency) -> list[int]:
+def adjacency_rows(g: SimpleMag) -> list[int]:
     """Row bitsets: bit b of row a is set iff edge {a, b} is present."""
     packed = np.packbits(dense_adjacency(g), axis=1, bitorder="little")
     return [int.from_bytes(row, "little") for row in packed]
 
 
-def dense_adjacency(g: SimpleMag | Adjacency) -> np.ndarray:
+def dense_adjacency(g: SimpleMag) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix over vertex indices."""
     if isinstance(g, Adjacency):
         return g.matrix
@@ -109,7 +108,7 @@ def dense_adjacency(g: SimpleMag | Adjacency) -> np.ndarray:
     return adj
 
 
-def degree_profile(g: SimpleMag | Adjacency) -> tuple[list[int], float]:
+def degree_profile(g: SimpleMag) -> tuple[list[int], float]:
     """Degrees of every composite vertex and the max |d(v) - (N-1)/2|."""
     degrees = dense_adjacency(g).sum(axis=1, dtype=np.int64)
     n = degrees.size
@@ -118,7 +117,7 @@ def degree_profile(g: SimpleMag | Adjacency) -> tuple[list[int], float]:
     return degrees.tolist(), deviation
 
 
-def composite_diameter(g: SimpleMag | Adjacency) -> int | None:
+def composite_diameter(g: SimpleMag) -> int | None:
     """Max BFS eccentricity over composite vertices; None if disconnected.
 
     1 when every pair is adjacent and 2 when every pair is within two
@@ -137,20 +136,17 @@ def composite_diameter(g: SimpleMag | Adjacency) -> int | None:
     return bfs_diameter(adj.matrix, within)
 
 
-def common_neighbor_count(
-    g: SimpleMag | Adjacency, u: Sequence[int], v: Sequence[int]
-) -> int:
+def common_neighbor_count(g: SimpleMag, u: Sequence[int], v: Sequence[int]) -> int:
     """|N(u) & N(v)|; u and v themselves can never appear in it."""
-    shape = _mag(g).shape
-    a = vertex_index(shape, u)
-    b = vertex_index(shape, v)
+    a = vertex_index(g.shape, u)
+    b = vertex_index(g.shape, v)
     if a == b:
         raise ArgumentError("common neighbors need two distinct composite vertices")
     matrix = dense_adjacency(g)
     return int((matrix[a] & matrix[b]).sum(dtype=np.int64))
 
 
-def common_neighbor_matrix(g: SimpleMag | Adjacency) -> np.ndarray:
+def common_neighbor_matrix(g: SimpleMag) -> np.ndarray:
     """All-pairs common-neighbor counts (int32, diagonal = degrees)."""
     matrix = dense_adjacency(g)
     n = matrix.shape[0]
@@ -160,40 +156,9 @@ def common_neighbor_matrix(g: SimpleMag | Adjacency) -> np.ndarray:
     return out
 
 
-def common_neighbor_extremes(g: SimpleMag | Adjacency) -> tuple[int, int] | None:
+def common_neighbor_extremes(g: SimpleMag) -> tuple[int, int] | None:
     """(min, max) common-neighbor count over all pairs; None when N < 2."""
     return _adjacency(g).extremes
-
-
-def is_sequentially_coupled(g: SimpleMag | Adjacency):
-    """(flag, first violation) for the sequential-coupling test.
-
-    Holds iff every same-node temporal edge spans consecutive instants and
-    every node is coupled to itself at every consecutive pair of instants.
-    A violation is ("missing-coupling" | "non-sequential-coupling", (u, v)),
-    the first in (node, i, j) order.
-    """
-    g = _mag(g)
-    _require_order2(g.shape)
-    first = None  # (node, i, j) of the first violation
-    for i in range(g.shape.sizes[1] - 1):
-        present = g.bits.take(same_node_ranks(g.shape, i))
-        bad = present != (np.arange(present.shape[1]) == 0)
-        if bad.any():
-            node, col = divmod(int(bad.argmax()), present.shape[1])
-            if first is None or node < first[0]:
-                first = (node, i, i + 1 + col)
-    if first is None:
-        return True, None
-    node, i, j = first
-    kind = "missing-coupling" if j == i + 1 else "non-sequential-coupling"
-    return False, (kind, ((node, i), (node, j)))
-
-
-def is_snapshot_like(g: SimpleMag | Adjacency, implied_couplings: bool = False) -> bool:
-    """True iff every present edge is spatial (or a sequential coupling
-    when implied_couplings), i.e. the snapshot encoder would accept g."""
-    return first_stray_rank(_mag(g), implied_couplings) is None
 
 
 def is_non_sequential_interdimensional(
@@ -224,10 +189,10 @@ def _by_coordinate(matrix: np.ndarray, shape: CompanionTuple, aspect: int) -> np
     return matrix.reshape(outer, n_k, inner, outer, n_k, inner)
 
 
-def non_sequential_census(g: SimpleMag | Adjacency) -> dict[int, int]:
+def non_sequential_census(g: SimpleMag) -> dict[int, int]:
     """Per-aspect counts of present edges with coordinate gap >= 2."""
     matrix = dense_adjacency(g)
-    shape = _mag(g).shape
+    shape = g.shape
     census = {}
     for aspect in range(2, shape.order + 1):
         # blocks[c, d]: edges from coordinate c to d, each edge counted
@@ -276,7 +241,7 @@ class FailingPairs(Sequence):
         return vertex_from_index(shape, a), vertex_from_index(shape, b)
 
 
-def verify_non_sequential_reachability(g: SimpleMag | Adjacency, aspect: int):
+def verify_non_sequential_reachability(g: SimpleMag, aspect: int):
     """(verdict, failing pairs) for aspect-k reachability.
 
     For every pair of composite vertices whose aspect-k coordinates are
@@ -289,7 +254,7 @@ def verify_non_sequential_reachability(g: SimpleMag | Adjacency, aspect: int):
     pair fails exactly when it lies outside A ∨ A². Failing pairs come as a
     FailingPairs sequence, lower coordinate first.
     """
-    shape = _mag(g).shape
+    shape = g.shape
     if shape.order < 2:
         raise ShapeError("reachability check needs order >= 2")
     if not 2 <= aspect <= shape.order:

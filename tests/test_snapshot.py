@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from magkit import snapshot
 from magkit.bitstring import BLOCK, BitString
 from magkit.core import CompanionTuple, SimpleMag, edge_from_rank
 from magkit.errors import (
@@ -34,6 +35,8 @@ from magkit.snapshot import (
     encode_snapshot,
     expand_intervals,
     first_stray_rank,
+    is_sequentially_coupled,
+    is_snapshot_like,
     is_spatial,
     msc_header_bits,
     read_msc,
@@ -41,7 +44,6 @@ from magkit.snapshot import (
     spatial_positions,
     write_msc,
 )
-from magkit.topo import is_sequentially_coupled, is_snapshot_like
 
 
 def spatial_mag(sizes, seed):
@@ -539,6 +541,21 @@ def test_sequential_coupling_gather_is_per_instant():
     verdict, peak = traced_peak(is_sequentially_coupled, coupled)
     assert verdict == (True, None)
     assert peak < m / 8, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_one_same_node_gather_serves_both_coupling_verdicts(monkeypatch):
+    gathers = []
+    same_node_bits = snapshot._same_node_bits
+
+    def counted(g):
+        gathers.append(g.shape.sizes)
+        return same_node_bits(g)
+
+    monkeypatch.setattr(snapshot, "_same_node_bits", counted)
+    coupled = decode_snapshot(SnapshotPayload(3, 4, True, BitString(12)))
+    assert is_sequentially_coupled(coupled) == (True, None)
+    assert check_multiplex_couplings(coupled) == CouplingCheck(True, False, True)
+    assert gathers == [(3, 4), (3, 4)]
 
 
 def test_multiplex_checks_decode_no_ranks(monkeypatch):

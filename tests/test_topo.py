@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from magkit.bitstring import BitString
+import magkit
+from magkit import snapshot, topo
 from magkit.core import CompanionTuple, SimpleMag, ranks_from_pairs, vertex_from_index
 from magkit.errors import ArgumentError, ShapeError
 from magkit.randgen import GenSpec, generate
@@ -406,6 +408,75 @@ def test_diameter_and_common_neighbors_against_networkx(name):
         assert common_neighbor_extremes(form) == extremes
     assert matrix[np.triu_indices(n, 1)].tolist() == counts
     assert matrix.diagonal().tolist() == [d for _, d in sorted(graph.degree())]
+
+
+def test_adjacency_is_the_mag_it_was_built_from():
+    g = random_mag((4, 3), 12)
+    adj = Adjacency(g)
+    assert isinstance(adj, SimpleMag)
+    assert adj.shape is g.shape and adj.bits is g.bits
+    assert adj == g and g == adj
+    assert repr(adj) == f"Adjacency(shape=(4, 3), edges={g.edge_count()})"
+    assert repr(g) == f"SimpleMag(shape=(4, 3), edges={g.edge_count()})"
+
+
+def test_order2_verdicts_belong_to_snapshot():
+    for name in ("is_sequentially_coupled", "is_snapshot_like"):
+        assert getattr(topo, name) is getattr(snapshot, name)
+        assert getattr(magkit, name) is getattr(snapshot, name)
+
+
+def analyzer_outcomes(form):
+    """What every topo analyzer returns, or raises, on one argument."""
+    shape = form.shape
+    u = vertex_from_index(shape, 0)
+    v = vertex_from_index(shape, shape.vertex_count - 1)
+    degrees, deviation = degree_profile(form)
+    outcomes = {
+        "adjacency_rows": adjacency_rows(form),
+        "dense_adjacency": dense_adjacency(form).tolist(),
+        "degree_profile": (degrees, deviation),
+        "composite_diameter": composite_diameter(form),
+        "common_neighbor_count": common_neighbor_count(form, u, v),
+        "common_neighbor_matrix": common_neighbor_matrix(form).tolist(),
+        "common_neighbor_extremes": common_neighbor_extremes(form),
+        "non_sequential_census": non_sequential_census(form),
+        "topo_report": json.dumps(
+            topo_report(form, 2 if shape.order > 1 else None), sort_keys=True
+        ),
+    }
+    for aspect in range(2, shape.order + 1):
+        verdict, failures = verify_non_sequential_reachability(form, aspect)
+        outcomes[f"reachability {aspect}"] = (verdict, list(failures))
+    verdicts = {
+        "is_sequentially_coupled": lambda: is_sequentially_coupled(form),
+        "is_snapshot_like": lambda: is_snapshot_like(form),
+        "is_snapshot_like implied": lambda: is_snapshot_like(form, True),
+    }
+    for name, verdict in verdicts.items():
+        try:
+            outcomes[name] = verdict()
+        except ShapeError as exc:
+            outcomes[name] = str(exc)
+    return outcomes
+
+
+ANALYZER_MAGS = [
+    random_mag((7,), 1),
+    random_mag((4, 3), 2, 1, 4),
+    coupled_tvg((3, 6), 5),
+    random_mag((3, 2, 3), 3, 1, 3),
+]
+
+
+@pytest.mark.parametrize("g", ANALYZER_MAGS, ids=lambda g: str(g.shape.sizes))
+def test_every_analyzer_reads_an_adjacency_as_its_mag(g):
+    expected = analyzer_outcomes(g)
+    assert analyzer_outcomes(Adjacency(g)) == expected
+    if g.shape.order == 2:
+        assert expected["is_sequentially_coupled"] == sequential_coupling_oracle(g)
+    else:
+        assert expected["is_sequentially_coupled"].startswith("expected a second-order")
 
 
 def sequential_coupling_oracle(g):
