@@ -18,8 +18,9 @@ rank order; that bit sequence is the MAG's characteristic string.
 Both bijections exist twice: as scalar functions for the public per-edge
 API, and as one array kernel (pairs_from_ranks, ranks_from_pairs,
 coords_from_indices, indices_from_coords) that every pass over the present
-edges goes through, block by block (SimpleMag.rank_blocks). The bits are
-packed and unpacked only in magkit.bitstring; rank_blocks is BitString.ones.
+edges goes through, block by block (SimpleMag.rank_blocks); edges() decodes
+each composite vertex once per call. The bits are packed and unpacked only
+in magkit.bitstring; rank_blocks is BitString.ones.
 
 All indices are 0-based.
 """
@@ -241,12 +242,12 @@ class SimpleMag:
 
     def edges(self) -> Iterator[tuple[Coords, Coords]]:
         """Present edges in rank order, smaller-index endpoint first."""
+        n = self.shape.vertex_count
+        vertices = list(map(tuple, coords_from_indices(self.shape, np.arange(n)).tolist()))
         for ranks in self.rank_blocks():
-            a, b = pairs_from_ranks(self.shape.vertex_count, ranks)
-            yield from zip(
-                map(tuple, coords_from_indices(self.shape, a).tolist()),
-                map(tuple, coords_from_indices(self.shape, b).tolist()),
-            )
+            a, b = pairs_from_ranks(n, ranks)
+            yield from zip(map(vertices.__getitem__, a.tolist()),
+                           map(vertices.__getitem__, b.tolist()))
 
     def to_classical_edges(self) -> list[tuple[int, int]]:
         """Edge list of the order-1 image over vertex indices [0, N)."""

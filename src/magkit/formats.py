@@ -11,12 +11,13 @@ lines sorted by edge rank. "#" starts a comment; blank lines are ignored on
 read. Writing is canonical, reading is lenient about edge order.
 
 Both directions go through the array kernel of magkit.core, a block of
-edges or a chunk of text at a time. The reader joins the tokens of each
-chunk back into write_magt's line form, checks that form with one regex and
-parses it with one np.fromstring. A chunk outside that form (integer
-spellings such as "+1" or "0_0", runs of more than 18 digits, any syntax
-error) or with a bad edge is read line by line instead: valid lines set
-their edges, and the first bad line raises its error.
+edges or a chunk of text at a time. The writer decodes each vertex once per
+call into its text " c_1 ... c_p" and gathers two per edge line. The reader
+joins the tokens of each chunk back into write_magt's line form, checks that
+form with one regex and parses it with one np.fromstring. A chunk outside
+that form (integer spellings such as "+1" or "0_0", runs of more than 18
+digits, any syntax error) or with a bad edge is read line by line instead:
+valid lines set their edges, and the first bad line raises its error.
 """
 
 from __future__ import annotations
@@ -64,31 +65,19 @@ def read_mcs(data: bytes) -> SimpleMag:
 
 
 def write_magt(g: SimpleMag) -> str:
-    parts = ["mag " + " ".join(str(n) for n in (g.shape.order, *g.shape.sizes)) + "\n"]
+    shape = g.shape
+    parts = ["mag " + " ".join(str(n) for n in (shape.order, *shape.sizes)) + "\n"]
+    # Row i is vertex i's text " c_1 ... c_p" as bytes, NUL-padded to one
+    # width; the NULs are dropped from each block's lines at the end.
+    tokens = np.array([f" {c}".encode() for c in range(max(shape.sizes))])
+    text = tokens[coords_from_indices(shape, np.arange(shape.vertex_count))].view(np.uint8)
     for ranks in g.rank_blocks():
-        a, b = pairs_from_ranks(g.shape.vertex_count, ranks)
-        parts.append(_edge_lines(np.hstack(
-            (coords_from_indices(g.shape, a), coords_from_indices(g.shape, b))
-        )))
+        pairs = np.stack(pairs_from_ranks(shape.vertex_count, ranks), axis=1)
+        lines = np.empty((ranks.size, 2 * text.shape[1] + 2), dtype=np.uint8)
+        lines[:, 0], lines[:, -1] = ord("e"), ord("\n")
+        lines[:, 1:-1] = text[pairs].reshape(ranks.size, -1)
+        parts.append(lines[lines != 0].tobytes().decode("ascii"))
     return "".join(parts)
-
-
-def _edge_lines(values: np.ndarray) -> str:
-    """One line "e v_1 ... v_w" per row of a non-negative (k, w) int array."""
-    k, w = values.shape
-    width = len(str(int(values.max())))
-    power = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    v = values[:, :, None]
-    # Each value right-aligned in `width` digit slots; the zero bytes of the
-    # hidden leading zeros are dropped at the end.
-    fields = np.zeros((k, w, width + 1), dtype=np.uint8)
-    fields[:, :, 0] = ord(" ")
-    fields[:, :, 1:] = np.where((v >= power) | (power == 1), v // power % 10 + ord("0"), 0)
-    lines = np.empty((k, w * (width + 1) + 2), dtype=np.uint8)
-    lines[:, 0] = ord("e")
-    lines[:, 1:-1] = fields.reshape(k, -1)
-    lines[:, -1] = ord("\n")
-    return lines[lines != 0].tobytes().decode("ascii")
 
 
 # What str.splitlines breaks lines on: a comment ends at the first of these.

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     CompanionTuple,
     SimpleMag,
+    ranks_from_pairs,
     vertex_from_index,
     vertex_index,
 )
@@ -48,6 +49,10 @@ class Adjacency(SimpleMag):
     def __init__(self, g: SimpleMag):
         super().__init__(g.shape, g.bits)
         self.matrix = dense_adjacency(g)
+
+    @classmethod
+    def from_edges(cls, shape: CompanionTuple, edges) -> Adjacency:
+        return cls(SimpleMag.from_edges(shape, edges))
 
     @property
     def within_two(self) -> np.ndarray:
@@ -142,8 +147,11 @@ def common_neighbor_count(g: SimpleMag, u: Sequence[int], v: Sequence[int]) -> i
     b = vertex_index(g.shape, v)
     if a == b:
         raise ArgumentError("common neighbors need two distinct composite vertices")
-    matrix = dense_adjacency(g)
-    return int((matrix[a] & matrix[b]).sum(dtype=np.int64))
+    n = g.shape.vertex_count
+    x = np.delete(np.arange(n), (a, b))
+    # the bits of {a, x} and {b, x}: two rows of the adjacency, from the string
+    rows = [g.bits.take(ranks_from_pairs(n, np.minimum(c, x), np.maximum(c, x))) for c in (a, b)]
+    return int((rows[0] & rows[1]).sum(dtype=np.int64))
 
 
 def common_neighbor_matrix(g: SimpleMag) -> np.ndarray:
@@ -241,6 +249,13 @@ class FailingPairs(Sequence):
         return vertex_from_index(shape, a), vertex_from_index(shape, b)
 
 
+def _check_reachability_aspect(shape: CompanionTuple, aspect: int) -> None:
+    if shape.order < 2:
+        raise ShapeError("reachability check needs order >= 2")
+    if not 2 <= aspect <= shape.order:
+        raise ArgumentError(f"aspect {aspect} out of range [2, {shape.order}]")
+
+
 def verify_non_sequential_reachability(g: SimpleMag, aspect: int):
     """(verdict, failing pairs) for aspect-k reachability.
 
@@ -255,10 +270,7 @@ def verify_non_sequential_reachability(g: SimpleMag, aspect: int):
     FailingPairs sequence, lower coordinate first.
     """
     shape = g.shape
-    if shape.order < 2:
-        raise ShapeError("reachability check needs order >= 2")
-    if not 2 <= aspect <= shape.order:
-        raise ArgumentError(f"aspect {aspect} out of range [2, {shape.order}]")
+    _check_reachability_aspect(shape, aspect)
     n_k = shape.sizes[aspect - 1]
     group = shape.vertex_count // n_k
     coords = np.arange(n_k)
@@ -274,6 +286,8 @@ def verify_non_sequential_reachability(g: SimpleMag, aspect: int):
 def topo_report(g: SimpleMag, reachability_aspect: int | None = None) -> dict:
     """Full analyzer sweep as a JSON-ready dict (stable, sortable keys)."""
     shape = g.shape
+    if reachability_aspect is not None:
+        _check_reachability_aspect(shape, reachability_aspect)
     adj = Adjacency(g)
     degrees, deviation = degree_profile(adj)
     extremes = common_neighbor_extremes(adj)

@@ -171,6 +171,24 @@ def test_common_neighbors_extremes_and_errors():
         common_neighbor_count(comp, (1, 1), (1, 1))
 
 
+def test_common_neighbor_count_reads_two_rows():
+    # N = 8192: the N x N matrix alone would be 64 MiB.
+    g = random_mag((512, 16), 4, 1, 64)
+    u, v = (3, 0), (500, 15)
+    tracemalloc.start()
+    try:
+        count = common_neighbor_count(g, u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    others = (vertex_from_index(g.shape, x) for x in range(g.shape.vertex_count))
+    assert count == sum(
+        all(g.bits.get(oracles.edge_rank(g.shape, c, w)) for c in (u, v))
+        for w in others if w not in (u, v)
+    )
+
+
 def test_common_neighbor_union_bound_band():
     # Union-bound-consistent version of the all-pairs concentration claim:
     # at 6 sigma the expected number of violating pairs is ~1e-3 per run.
@@ -265,6 +283,19 @@ def test_reachability_vacuous_when_aspect_small():
     g = SimpleMag(CompanionTuple((4, 3)))
     verdict, failures = verify_non_sequential_reachability(g, 2)
     assert verdict and not failures
+
+
+def test_topo_report_checks_the_aspect_before_any_adjacency(monkeypatch):
+    def refuse(g):
+        raise AssertionError("adjacency built before the aspect was checked")
+
+    monkeypatch.setattr(topo, "dense_adjacency", refuse)
+    with pytest.raises(ArgumentError, match=r"aspect 3 out of range \[2, 2\]"):
+        topo_report(random_mag((4, 3), 1), 3)
+    with pytest.raises(ArgumentError, match=r"aspect 1 out of range"):
+        topo_report(random_mag((4, 3), 1), 1)
+    with pytest.raises(ShapeError, match="needs order >= 2"):
+        topo_report(random_mag((5,), 1), 2)
 
 
 def test_reachability_random():
@@ -418,6 +449,10 @@ def test_adjacency_is_the_mag_it_was_built_from():
     assert adj == g and g == adj
     assert repr(adj) == f"Adjacency(shape=(4, 3), edges={g.edge_count()})"
     assert repr(g) == f"SimpleMag(shape=(4, 3), edges={g.edge_count()})"
+    built = Adjacency.from_edges(g.shape, g.edges())
+    assert type(built) is Adjacency
+    assert built == g and built == SimpleMag.from_edges(g.shape, g.edges())
+    assert np.array_equal(built.matrix, dense_adjacency(g))
 
 
 def test_order2_verdicts_belong_to_snapshot():
