@@ -44,3 +44,16 @@ def test_gate_exit_code(tmp_path, monkeypatch, cases, code):
     with pytest.raises(SystemExit) as info:
         runpy.run_path(str(SCRIPT), run_name="__main__")
     assert info.value.code == code
+
+
+def test_ci_profile_derandomizes_properties():
+    # tests/conftest.py loads the "ci" profile when CI is set
+    import os
+
+    from hypothesis import settings
+
+    ci = settings.get_profile("ci")
+    assert ci.derandomize
+    assert ci.max_examples == settings.get_profile("default").max_examples
+    if os.environ.get("CI"):
+        assert settings.default.derandomize
