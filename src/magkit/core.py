@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitstring import BLOCK, BitString  # BLOCK bounds rank_blocks() too
+from .bitstring import BitString
 from .errors import (
     ArithmeticOverflowError,
     RangeError,
@@ -232,7 +232,7 @@ class SimpleMag:
 
     def rank_blocks(self) -> Iterator[np.ndarray]:
         """Ranks of present edges in ascending order, as int64 arrays of at
-        most BLOCK ranks (BitString.ones)."""
+        most bitstring.BLOCK ranks (BitString.ones)."""
         return self.bits.ones()
 
     def present_ranks(self) -> Iterator[int]:

@@ -11,7 +11,8 @@ them, and with its flag the never-stored sequential couplings
 possible edge. Every order-2 rule is a set of allowed ranks: the stray-edge
 test counts the present bits there and reads rank blocks only when that
 count falls short, to name the lowest stray; contraction and expansion
-gather the bits at one rank set and scatter them to another.
+gather the bits at one rank set and scatter them to another. Block rank
+sets come from one run builder; randgen draws the runs of `spatial_runs`.
 
 Also here: the interval-contraction reduction that turns a TVG whose edges
 all span mapped time intervals (t_i, f(t_i)) into a plain spatial TVG, and
@@ -62,10 +63,10 @@ def spatial_edge_count(shape: CompanionTuple) -> int:
     return _spatial_count(*_require_order2(shape))
 
 
-def _block_positions(shape: CompanionTuple, firsts, lasts) -> np.ndarray:
-    """Ranks of {(u, f), (v, l)}, u < v, one block per instant pair (f, l),
-    pairs within a block lexicographic. With time-major vertex indexing each
-    row (u, f) of a block is one contiguous rank run of nV - 1 - u ranks."""
+def _block_runs(shape: CompanionTuple, firsts, lasts) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the rank runs of {(u, f), (v, l)}, u < v, one block
+    per instant pair (f, l): with time-major vertex indexing each row (u, f) of
+    a block is one run of nV - 1 - u ranks, so each block's last run is empty."""
     n_vertices, _ = _require_order2(shape)
     node = np.arange(n_vertices, dtype=np.int64)
     starts = ranks_from_pairs(
@@ -73,18 +74,25 @@ def _block_positions(shape: CompanionTuple, firsts, lasts) -> np.ndarray:
         (node + np.asarray(firsts, dtype=np.int64)[:, None] * n_vertices).ravel(),
         (node + 1 + np.asarray(lasts, dtype=np.int64)[:, None] * n_vertices).ravel(),
     )
-    lengths = np.tile((n_vertices - 1) - node, len(firsts))
-    run_bases = np.repeat(
-        starts - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths
-    )
+    return starts, np.tile((n_vertices - 1) - node, len(firsts))
+
+
+def _block_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranks of the runs (starts, lengths), run by run."""
+    run_bases = np.repeat(starts - np.concatenate(([0], np.cumsum(lengths)[:-1])), lengths)
     return run_bases + np.arange(run_bases.size, dtype=np.int64)
+
+
+def spatial_runs(shape: CompanionTuple) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the spatial rank runs, one per vertex row."""
+    instants = np.arange(_require_order2(shape)[1])
+    return _block_runs(shape, instants, instants)
 
 
 def spatial_positions(shape: CompanionTuple) -> np.ndarray:
     """Global ranks of all spatial pairs, in payload block order: blocks
     ordered by time instant, pairs within a block lexicographic."""
-    instants = np.arange(_require_order2(shape)[1])
-    return _block_positions(shape, instants, instants)
+    return _block_positions(*spatial_runs(shape))
 
 
 def coupling_positions(shape: CompanionTuple) -> np.ndarray:
@@ -283,7 +291,7 @@ def contract_intervals(g: SimpleMag, interval_map: IntervalMap) -> SimpleMag:
             f"interval map reaches instant {interval_map.pairs[-1][1]}, "
             f"MAG has {n_times}"
         )
-    positions = _block_positions(g.shape, *np.array(interval_map.pairs).T)
+    positions = _block_positions(*_block_runs(g.shape, *np.array(interval_map.pairs).T))
     rank = _first_outside(g, positions)
     if rank is not None:
         _raise_not_interval(g.shape, rank, interval_map)
@@ -320,7 +328,7 @@ def expand_intervals(
         raise ShapeError("interval map reaches past the requested instant count")
     require_snapshot_like(g)
     out = SimpleMag(CompanionTuple((n_vertices, time_count)))
-    positions = _block_positions(out.shape, *np.array(interval_map.pairs).T)
+    positions = _block_positions(*_block_runs(out.shape, *np.array(interval_map.pairs).T))
     out.bits.set_many(positions[g.bits.take(spatial_positions(g.shape)) == 1])
     return out
 

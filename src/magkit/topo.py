@@ -97,14 +97,12 @@ def _square_blocks(matrix: np.ndarray):
 
 def adjacency_rows(g: SimpleMag) -> list[int]:
     """Row bitsets: bit b of row a is set iff edge {a, b} is present."""
-    packed = np.packbits(dense_adjacency(g), axis=1, bitorder="little")
+    packed = np.packbits(_adjacency(g).matrix, axis=1, bitorder="little")
     return [int.from_bytes(row, "little") for row in packed]
 
 
 def dense_adjacency(g: SimpleMag) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix over vertex indices."""
-    if isinstance(g, Adjacency):
-        return g.matrix
     n = g.shape.vertex_count
     adj = np.zeros((n, n), dtype=np.uint8)
     # A boolean mask fills in row-major order, which is rank order.
@@ -115,7 +113,7 @@ def dense_adjacency(g: SimpleMag) -> np.ndarray:
 
 def degree_profile(g: SimpleMag) -> tuple[list[int], float]:
     """Degrees of every composite vertex and the max |d(v) - (N-1)/2|."""
-    degrees = dense_adjacency(g).sum(axis=1, dtype=np.int64)
+    degrees = _adjacency(g).matrix.sum(axis=1, dtype=np.int64)
     n = degrees.size
     half = (n - 1) / 2
     deviation = float(np.abs(degrees - half).max())
@@ -125,16 +123,15 @@ def degree_profile(g: SimpleMag) -> tuple[list[int], float]:
 def composite_diameter(g: SimpleMag) -> int | None:
     """Max BFS eccentricity over composite vertices; None if disconnected.
 
-    1 when every pair is adjacent and 2 when every pair is within two
-    steps, read off A ∨ A². Otherwise a multi-source BFS over packed
-    words (`traversal.bfs_diameter`) starts from A ∨ A² at depth 2.
+    1 when every possible edge is present and 2 when every pair is
+    within two steps, read off A ∨ A². Otherwise a multi-source BFS over
+    packed words (`traversal.bfs_diameter`) starts from A ∨ A² at depth 2.
     """
-    adj = _adjacency(g)
-    n = adj.matrix.shape[0]
-    if n == 1:
+    if g.shape.vertex_count == 1:
         return 0
-    if int(adj.matrix.sum(dtype=np.int64)) == n * (n - 1):
+    if g.edge_count() == g.shape.possible_edges:
         return 1
+    adj = _adjacency(g)
     within = adj.within_two
     if within.all():
         return 2
@@ -156,7 +153,7 @@ def common_neighbor_count(g: SimpleMag, u: Sequence[int], v: Sequence[int]) -> i
 
 def common_neighbor_matrix(g: SimpleMag) -> np.ndarray:
     """All-pairs common-neighbor counts (int32, diagonal = degrees)."""
-    matrix = dense_adjacency(g)
+    matrix = _adjacency(g).matrix
     n = matrix.shape[0]
     out = np.empty((n, n), dtype=np.int32)
     for lo, hi, block in _square_blocks(matrix):
@@ -199,7 +196,7 @@ def _by_coordinate(matrix: np.ndarray, shape: CompanionTuple, aspect: int) -> np
 
 def non_sequential_census(g: SimpleMag) -> dict[int, int]:
     """Per-aspect counts of present edges with coordinate gap >= 2."""
-    matrix = dense_adjacency(g)
+    matrix = _adjacency(g).matrix
     shape = g.shape
     census = {}
     for aspect in range(2, shape.order + 1):

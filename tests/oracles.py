@@ -2,9 +2,10 @@
 
 These are the straightforward one-edge-at-a-time versions of the rank
 bijections, the .magt codec, interval contraction, the coupling checks and
-the snapshot-likeness test, and the one-source-at-a-time bitset BFS
-diameter; the snapshot codec and spatial-only generation through an array
-of one byte per possible edge; and the all-pairs sequential-coupling gather.
+the snapshot-likeness test, the per-row spatial rank runs, and the
+one-source-at-a-time bitset BFS diameter; the snapshot codec and (full or
+spatial-only) generation through an array of one byte per possible edge;
+and the all-pairs sequential-coupling gather.
 Tests compare the library against them; nothing in the library imports
 this module.
 """
@@ -87,6 +88,20 @@ def spatial_positions(shape):
         for u in range(n_vertices)
         for v in range(u + 1, n_vertices)
     ], dtype=np.int64)
+
+
+def spatial_runs(shape):
+    """(start, length) of each row's non-empty spatial rank run: row a of
+    the vertex order (instant a // nV) holds (a // nV + 1) * nV - a - 1
+    spatial ranks from the start of its rank row."""
+    n_vertices, _ = shape.sizes
+    n = shape.vertex_count
+    runs = []
+    for a in range(n):
+        length = (a // n_vertices + 1) * n_vertices - a - 1
+        if length:
+            runs.append((row_start(n, a), length))
+    return runs
 
 
 def coupling_positions(shape):

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from magkit.bitstring import BitString
+from magkit.bitstring import BLOCK, BitString
 from magkit.core import (
-    BLOCK,
     CompanionTuple,
     SimpleMag,
     coords_from_indices,

@@ -39,6 +39,8 @@ def test_prng_prefix_stability():
     long = presence_words(9, 64)
     short = presence_words(9, 10)
     assert (long[:10] == short).all()
+    empty = presence_words(9, 0)
+    assert empty.dtype == np.uint64 and empty.size == 0
 
 
 def test_golden_artifact_bytes():
@@ -141,38 +143,35 @@ PROBABILITIES = [(0, 1), (1, 3), (1, 2), (5, 7), (1, 1)]
 BLOCK_OFFSET_SHAPES = [(5, 3), (2, 7), (4, 4), (7, 2)]
 
 
-def spatial_runs(shape):
-    """(start, length) of each row's non-empty spatial rank run."""
-    n_vertices, _ = shape.sizes
-    n = shape.vertex_count
-    runs = []
-    for a in range(n):
-        length = (a // n_vertices + 1) * n_vertices - a - 1
-        if length:
-            runs.append((a * n - a * (a + 1) // 2, length))
-    return runs
-
-
 def test_spatial_runs_are_the_spatial_positions():
     for sizes in [(1, 1), (1, 4), (4, 1), (5, 3), (3, 7)]:
         shape = CompanionTuple(sizes)
-        ranks = [r for start, length in spatial_runs(shape)
+        ranks = [r for start, length in oracles.spatial_runs(shape)
                  for r in range(start, start + length)]
         assert ranks == spatial_positions(shape).tolist(), sizes
 
 
+# orders 1 to 3; order-3 sides stay small so the full oracle draw is cheap
+SHAPES = st.integers(1, 3).flatmap(
+    lambda order: st.tuples(*[st.integers(1, 12 if order < 3 else 5)] * order)
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(1, 12),
-    st.integers(1, 12),
+    SHAPES,
+    st.booleans(),
     st.sampled_from(PROBABILITIES),
     st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
 )
-@example(1, 12, (1, 2), 0)
-@example(12, 1, (5, 7), 2**64 - 1)
-@example(12, 12, (1, 3), 2**64 - 1)
-def test_spatial_generation_matches_the_full_draw(n_vertices, n_times, p, seed):
-    spec = GenSpec(CompanionTuple((n_vertices, n_times)), *p, seed, spatial_only=True)
+@example((1, 12), True, (1, 2), 0)
+@example((12, 1), True, (5, 7), 2**64 - 1)
+@example((12, 12), True, (1, 3), 2**64 - 1)
+@example((5, 4, 3), False, (1, 2), 7)
+def test_spatial_generation_matches_the_full_draw(sizes, spatial_only, p, seed):
+    # full generation at every order, spatial-only where the order is 2
+    spatial_only = spatial_only and len(sizes) == 2
+    spec = GenSpec(CompanionTuple(sizes), *p, seed, spatial_only=spatial_only)
     assert generate(spec) == oracles.generate(spec)
 
 
@@ -193,9 +192,19 @@ def test_spatial_runs_longer_than_a_word_chunk(monkeypatch):
         assert generate(spec) == oracles.generate(spec), sizes
 
 
+@pytest.mark.parametrize("sizes", [(37,), (5, 3), (3, 2, 4)])
+def test_full_generation_in_word_chunks_of_eight(monkeypatch, sizes):
+    # the single run [0, M) in pieces of 8 words, each put on a byte
+    # boundary; M % 8 is 2, 1 and 4, so the last piece is partial
+    monkeypatch.setattr(randgen, "WORD_CHUNK", 8)
+    for p in PROBABILITIES[1:]:
+        spec = GenSpec(CompanionTuple(sizes), *p, 2**64 - 1)
+        assert generate(spec) == oracles.generate(spec), p
+
+
 def test_block_offset_shapes_cover_every_lane_and_a_block_crossing():
     runs = [run for sizes in BLOCK_OFFSET_SHAPES
-            for run in spatial_runs(CompanionTuple(sizes))]
+            for run in oracles.spatial_runs(CompanionTuple(sizes))]
     assert {start % 4 for start, _ in runs} == {0, 1, 2, 3}
     assert {start % 4 for start, length in runs
             if (start + length - 1) // 4 > start // 4} == {0, 1, 2, 3}

@@ -42,6 +42,7 @@ from magkit.snapshot import (
     read_msc,
     spatial_edge_count,
     spatial_positions,
+    spatial_runs,
     write_msc,
 )
 
@@ -79,6 +80,18 @@ def test_spatial_positions_block_order():
         i, j = local_pairs[local]
         u, v = edge_from_rank(shape, int(rank))
         assert u == (i, block) and v == (j, block)
+
+
+def test_spatial_runs_against_the_oracle():
+    for sizes in [(1, 1), (1, 4), (4, 1), (5, 3), (3, 7), (12, 12)]:
+        shape = CompanionTuple(sizes)
+        starts, lengths = spatial_runs(shape)
+        # one run per vertex row, the last row of each block empty
+        assert starts.size == lengths.size == shape.vertex_count
+        runs = [(s, n) for s, n in zip(starts.tolist(), lengths.tolist()) if n]
+        assert runs == oracles.spatial_runs(shape), sizes
+    with pytest.raises(ShapeError):
+        spatial_runs(CompanionTuple((3, 2, 2)))
 
 
 def test_spatial_tvg_classical_image_is_block_diagonal():

@@ -1,0 +1,62 @@
+"""Static checks over the library source, by `ast` alone: every private
+top-level name is used somewhere in the package, and every import outside
+`__init__.py` is used in its own module."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "magkit"
+MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCE.glob("*.py"))}
+
+
+def read_names(tree):
+    """Every name the tree reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def defined_names(tree):
+    """Names bound at module level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def imported_names(tree):
+    """Names bound by import statements, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_every_private_top_level_name_is_used():
+    used = set().union(*map(read_names, MODULES.values()))
+    unused = [
+        f"{module}:{name}"
+        for module, tree in MODULES.items()
+        for name in defined_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+    assert unused == []
+
+
+def test_every_import_is_used_in_its_module():
+    unused = [
+        f"{module}:{name}"
+        for module, tree in MODULES.items()
+        if module != "__init__.py"
+        for name in imported_names(tree)
+        if name not in read_names(tree)
+    ]
+    assert unused == []
