@@ -120,13 +120,13 @@ class BitString:
         """Bits at the given indices as a uint8 array."""
         indices = self._checked(indices)
         buf = np.frombuffer(self.payload, dtype=np.uint8)
-        return (buf[indices >> 3] >> (7 - (indices & 7)).astype(np.uint8)) & 1
+        return (buf[indices >> 3] >> (7 - (indices.astype(np.uint8) & 7))) & 1
 
     def set_many(self, indices: np.ndarray) -> None:
         """Set the bits at the given indices to 1."""
         indices = self._checked(indices)
         buf = np.frombuffer(self.payload, dtype=np.uint8)
-        np.bitwise_or.at(buf, indices >> 3, (0x80 >> (indices & 7)).astype(np.uint8))
+        np.bitwise_or.at(buf, indices >> 3, 0x80 >> (indices.astype(np.uint8) & 7))
 
     def to_int(self) -> int:
         """Whole string as an integer with bit j of the string at bit j."""

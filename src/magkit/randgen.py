@@ -6,12 +6,13 @@ raw-word stream). Position j is present iff word_j < floor(num * 2^64 / den),
 so generation is a pure function of the GenSpec, independent of evaluation
 order, and exact for dyadic probabilities such as the default 1/2.
 
-Both modes draw through one loop over rank runs: full generation is the
-single run [0, M), and spatial-only generation draws only the runs of
-`snapshot.spatial_runs`, so it equals the full draw masked to the spatial
-positions. The loop jumps to each run by setting the counter in
-`Philox.state`, whose layout is numpy's, not a documented contract; the
-test suite pins it.
+Both modes write their draws in place through one function over rank runs,
+`_fill`: full generation fills a reused window of WORD_CHUNK ranks per
+piece of [0, M), and spatial-only generation fills one mask over the runs
+of `snapshot.spatial_runs`, so it equals the full draw masked to the
+spatial positions. Each piece of a run is drawn on its own by setting the
+counter in `Philox.state`, whose layout is numpy's, not a documented
+contract; the test suite pins it. At p = 1 nothing is drawn.
 
 Frozen test vectors for the word stream live in the test suite and README;
 they pin the algorithm, not just the library version.
@@ -60,42 +61,27 @@ def presence_words(seed: int, count: int) -> np.ndarray:
     return np.random.Philox(key=seed).random_raw(count)
 
 
-def _draws(spec: GenSpec, starts, ends):
-    """(rank, presence) pieces of at most WORD_CHUNK ranks of each run [start,
-    end), in order: rank j is present iff word j is below the threshold (None
-    at p = 1: none drawn). Pieces are views of one buffer, valid until the next."""
-    threshold = (None if spec.p_num == spec.p_den
-                 else np.uint64((spec.p_num << SEED_BITS) // spec.p_den))
-    present = np.ones(WORD_CHUNK, dtype=bool)  # never written at p = 1
+def _fill(spec: GenSpec, starts, ends, out: np.ndarray) -> None:
+    """Write the presence of ranks [start, end) of each run, in order, into
+    consecutive slices of the bool array `out`: rank j is present iff word j
+    is below the threshold. At p = 1 every rank is present and none is drawn."""
+    if spec.p_num == spec.p_den:
+        out[:] = True
+        return
+    threshold = np.uint64((spec.p_num << SEED_BITS) // spec.p_den)
     words = np.random.Philox(key=spec.seed)
     state = words.state
     state["buffer_pos"] = 4
-    for start, end in zip(starts, ends):
-        if start == end:
-            continue
-        # word j is lane j % 4 of the Philox block at counter j // 4
-        state["state"]["counter"][0] = start // 4
-        words.state = state
-        # a run past WORD_CHUNK words is drawn in pieces of one stream
-        for lo in range(start - start % 4, end, WORD_CHUNK):
-            hi = min(lo + WORD_CHUNK, end)
-            skip = max(start - lo, 0)
-            piece = present[: hi - lo - skip]
-            if threshold is not None:
-                np.less(words.random_raw(hi - lo)[skip:], threshold, out=piece)
-            yield lo + skip, piece
-
-
-def _spatial_presence(spec: GenSpec) -> np.ndarray:
-    """Presence of each spatial position, in spatial_positions order; apart
-    from generate, so this S-byte mask is freed before set_many allocates."""
-    starts, lengths = spatial_runs(spec.shape)
-    presence = np.empty(int(lengths.sum()), dtype=bool)
     at = 0
-    for _, present in _draws(spec, map(int, starts), map(int, starts + lengths)):
-        presence[at : at + present.size] = present
-        at += present.size
-    return presence
+    for start, end in zip(starts, ends):
+        for lo in range(start, end, WORD_CHUNK):
+            hi = min(lo + WORD_CHUNK, end)
+            # word j is lane j % 4 of the Philox block at counter j // 4
+            state["state"]["counter"][0] = lo // 4
+            words.state = state
+            drawn = words.random_raw(hi - lo + lo % 4)[lo % 4 :]
+            np.less(drawn, threshold, out=out[at : at + hi - lo])
+            at += hi - lo
 
 
 def generate(spec: GenSpec) -> SimpleMag:
@@ -103,9 +89,19 @@ def generate(spec: GenSpec) -> SimpleMag:
     if not spec.p_num:
         return g
     if spec.spatial_only:
-        g.bits.set_many(spatial_positions(spec.shape)[_spatial_presence(spec)])
+        positions = spatial_positions(spec.shape)
+        starts, lengths = spatial_runs(spec.shape)
+        present = np.empty(positions.size, dtype=bool)
+        _fill(spec, map(int, starts), map(int, starts + lengths), present)
+        positions = positions[present]
+        del present  # set_many runs without the mask or the unmasked positions
+        g.bits.set_many(positions)
         return g
-    # WORD_CHUNK is a multiple of 8, so each piece starts on a byte
-    for lo, present in _draws(spec, [0], [spec.shape.possible_edges]):
-        g.bits.put(lo, present)
+    m = spec.shape.possible_edges
+    window = np.empty(min(m, WORD_CHUNK), dtype=bool)
+    # WORD_CHUNK is a multiple of 8, so each window starts on a byte
+    for lo in range(0, m, WORD_CHUNK):
+        piece = window[: min(m - lo, WORD_CHUNK)]
+        _fill(spec, [lo], [lo + piece.size], piece)
+        g.bits.put(lo, piece)
     return g

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magkit.bitstring import BLOCK, BitString, decode_uvarint, encode_uvarint
@@ -73,19 +73,6 @@ def test_padding_enforced():
         BitString(12, bytes([0xFF]))
 
 
-def test_int_conversion_against_slow_reference():
-    import random
-
-    rng = random.Random(4)
-    for bit_length in [0, 1, 7, 8, 9, 63, 64, 65, 130]:
-        bs = BitString(bit_length)
-        for j in range(bit_length):
-            if rng.random() < 0.5:
-                bs.set(j)
-        slow = sum(bs.get(j) << j for j in range(bit_length))
-        assert bs.to_int() == slow
-
-
 def test_array_conversion_roundtrip():
     import numpy as np
 
@@ -107,56 +94,66 @@ def test_count_and_eq():
     assert a != b
 
 
-def test_count_and_take_against_per_byte_reference():
-    import random
-
-    import numpy as np
-
-    rng = random.Random(11)
-    for bit_length in [0, 1, 7, 8, 9, rng.randrange(100, 5000)]:
-        bs = BitString(bit_length)
-        for j in range(bit_length):
-            if rng.random() < 0.5:
-                bs.set(j)
-        assert bs.count() == sum(b.bit_count() for b in bs.payload)
-        indices = np.array([rng.randrange(bit_length) for _ in range(50)] if bit_length else [])
-        assert bs.take(indices).tolist() == [int(bs.get(int(j))) for j in indices]
-        with pytest.raises(RangeError):
-            bs.take(np.array([bit_length]))
-        with pytest.raises(RangeError):
-            bs.take(np.array([-1]))
-
-
-def test_set_many_against_per_bit_set():
-    import random
-
-    import numpy as np
-
-    rng = random.Random(12)
-    for bit_length in [1, 7, 8, 9, rng.randrange(100, 5000)]:
-        bs = BitString(bit_length)
-        bs.set(rng.randrange(bit_length))
-        expected = bs.copy()
-        indices = [rng.randrange(bit_length) for _ in range(60)]  # with repeats
-        for j in indices:
-            expected.set(j)
-        bs.set_many(np.array(indices))
-        assert bs == expected
-        bs.set_many(np.array([], dtype=np.int64))
-        assert bs == expected
-        with pytest.raises(RangeError):
-            bs.set_many(np.array([0, bit_length]))
-        with pytest.raises(RangeError):
-            bs.set_many(np.array([-1]))
-        assert bs == expected
-
-
 # Lengths 0-17 cover every padding width around the first byte boundaries.
 lengths = st.one_of(st.integers(0, 17), st.integers(18, 5000))
 
 
 def random_bits(n: int, seed: int, p: float) -> np.ndarray:
     return (np.random.default_rng(seed).random(n) < p).astype(np.uint8)
+
+
+def with_short_lengths(test):
+    """The test with lengths 0, 1, 7, 8 and 9, at seed 0, as explicit examples."""
+    for n in (0, 1, 7, 8, 9):
+        test = example(n, 0)(test)
+    return test
+
+
+def some_indices(n: int, seed: int, size: int) -> np.ndarray:
+    """`size` indices in [0, n), none if n is 0."""
+    return np.random.default_rng(seed).integers(0, max(n, 1), size if n else 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lengths, st.integers(0, 2**32))
+@with_short_lengths
+def test_int_conversion_against_slow_reference(n, seed):
+    bs = BitString.from_array(random_bits(n, seed, 0.5))
+    assert bs.to_int() == sum(bs.get(j) << j for j in range(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lengths, st.integers(0, 2**32))
+@with_short_lengths
+def test_count_and_take_against_per_byte_reference(n, seed):
+    bs = BitString.from_array(random_bits(n, seed, 0.5))
+    assert bs.count() == sum(b.bit_count() for b in bs.payload)
+    indices = some_indices(n, seed, 50)
+    assert bs.take(indices).tolist() == [int(bs.get(int(j))) for j in indices]
+    with pytest.raises(RangeError):
+        bs.take(np.array([n]))
+    with pytest.raises(RangeError):
+        bs.take(np.array([-1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lengths, st.integers(0, 2**32))
+@with_short_lengths
+def test_set_many_against_per_bit_set(n, seed):
+    bs = BitString.from_array(random_bits(n, seed, 0.05))
+    expected = bs.copy()
+    indices = np.tile(some_indices(n, seed, 30), 2)  # every index repeated
+    for j in indices:
+        expected.set(int(j))
+    bs.set_many(indices)
+    assert bs == expected
+    bs.set_many(np.array([], dtype=np.int64))
+    assert bs == expected
+    with pytest.raises(RangeError):
+        bs.set_many(np.array([0, n]))
+    with pytest.raises(RangeError):
+        bs.set_many(np.array([-1]))
+    assert bs == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -185,7 +185,8 @@ def test_spatial_runs_at_every_block_offset(sizes):
 
 
 def test_spatial_runs_longer_than_a_word_chunk(monkeypatch):
-    # runs of up to 10 words, drawn in pieces of 8 that continue one stream
+    # runs of up to 10 words, drawn in pieces of at most 8, each of which
+    # sets the Philox counter to its own first word
     monkeypatch.setattr(randgen, "WORD_CHUNK", 8)
     for sizes in [(11, 3), *BLOCK_OFFSET_SHAPES]:
         spec = GenSpec(CompanionTuple(sizes), 1, 3, 2**64 - 1, spatial_only=True)
@@ -228,19 +229,39 @@ def test_philox_state_counter_contract(key, counter):
         assert (drawn == stream[4 * counter :]).all()
 
 
-def test_spatial_generation_draws_only_spatial_words(monkeypatch):
-    shape = CompanionTuple((128, 64))
-    drawn = []
+@pytest.fixture
+def philox_use(monkeypatch):
+    """Counts of Philox generators built and words drawn during the test."""
+    use = {"built": 0, "words": 0}
 
     class CountingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            use["built"] += 1
+            super().__init__(*args, **kwargs)
+
         def random_raw(self, size=None, output=True):
-            drawn.append(1 if size is None else int(np.prod(size)))
+            use["words"] += 1 if size is None else int(np.prod(size))
             return super().random_raw(size, output)
 
     monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    return use
+
+
+def test_spatial_generation_draws_only_spatial_words(philox_use):
+    shape = CompanionTuple((128, 64))
     g = generate(GenSpec(shape, 1, 2, 7, spatial_only=True))
     # at most three leading words per run; M is 33,550,336 here
-    assert sum(drawn) <= spatial_edge_count(shape) + 3 * shape.vertex_count
+    assert philox_use["words"] <= spatial_edge_count(shape) + 3 * shape.vertex_count
     assert hashlib.sha256(write_mcs(g)).hexdigest() == (
         "5cd99dd337fab24599b4c3e2e583f35ce20ac01c0141423af72cfac4b5e1c464"
     )
+
+
+@pytest.mark.parametrize("spatial_only", [False, True])
+def test_probability_one_draws_nothing(monkeypatch, philox_use, spatial_only):
+    # M = 1953 = 8 * 244 + 1: 245 windows of 8 in full generation
+    monkeypatch.setattr(randgen, "WORD_CHUNK", 8)
+    spec = GenSpec(CompanionTuple((7, 9)), 1, 1, 7, spatial_only=spatial_only)
+    g = generate(spec)
+    assert philox_use == {"built": 0, "words": 0}
+    assert g == oracles.generate(spec)

@@ -547,6 +547,32 @@ def test_snapshot_paths_hold_less_than_a_byte_per_position():
         name: f"{peak / 2**20:.1f} MiB" for name, peak in peaks.items()}
 
 
+def test_spatial_generation_holds_at_most_two_position_arrays():
+    # The payload is 4.00 MiB and the S positions 3.97 MiB. The positions are
+    # built (two such arrays at once) before the S-byte mask is filled, and
+    # the mask and the unmasked positions are freed before set_many, whose
+    # one int64 temporary is the size of what it scatters (all S at p = 1).
+    shape = CompanionTuple((128, 64))
+    for p, limit_mib in [((1, 2), 12.1), ((1, 1), 13.5)]:
+        _, peak = traced_peak(generate, GenSpec(shape, *p, 7, spatial_only=True))
+        assert peak <= limit_mib * 2**20, (p, f"{peak / 2**20:.2f} MiB")
+
+
+def test_bit_scatter_and_gather_build_one_int64_temporary():
+    # set_many of the 260,225 present spatial ranks (1.99 MiB of indices) and
+    # take of the 520,192 spatial positions (3.97 MiB): only the byte index
+    # is an int64 array; the bit offset within the byte is a uint8 one
+    g = spatial_mag((128, 64), 7)
+    ranks = np.concatenate(list(g.bits.ones()))
+    positions = spatial_positions(g.shape)
+    scattered = BitString(g.bits.bit_length)
+    _, scatter = traced_peak(scattered.set_many, ranks)
+    bits, gather = traced_peak(g.bits.take, positions)
+    assert scattered == g.bits and int(bits.sum()) == ranks.size == 260225
+    assert scatter < 3 * 2**20, f"set_many {scatter / 2**20:.2f} MiB"
+    assert gather < 5 * 2**20, f"take {gather / 2**20:.2f} MiB"
+
+
 def test_sequential_coupling_gather_is_per_instant():
     # 1024 instants: all pairs of instants would be 2 * 1024 * 1023 / 2 ranks
     coupled = decode_snapshot(SnapshotPayload(2, 1024, True, BitString(1024)))
