@@ -6,6 +6,7 @@ makes byte equality equivalent to bit equality, which the file formats rely
 on for deterministic round trips. This is the one module that knows that
 layout: other modules read and write bits through BitString (ones, put and
 read among them) and touch the payload bytes only to append them to a stream.
+Making a BitString copies its payload once: read and from_array hand it views.
 
 Varints are unsigned LEB128: 7 data bits per byte, little-endian groups,
 high bit marks continuation. Encoding is always minimal and the decoder
@@ -160,7 +161,7 @@ class BitString:
     @classmethod
     def from_array(cls, bits: np.ndarray) -> "BitString":
         packed = np.packbits(bits.astype(np.uint8, copy=False), bitorder="big")
-        return cls(int(bits.size), packed.tobytes())
+        return cls(int(bits.size), packed)
 
     @classmethod
     def read(cls, data: bytes, pos: int, bit_length: int) -> "BitString":
@@ -168,7 +169,7 @@ class BitString:
         extra = len(data) - pos - (bit_length + 7) // 8
         if extra > 0:
             raise TrailingDataError(f"{extra} bytes past the payload")
-        return cls(bit_length, data[pos:])
+        return cls(bit_length, memoryview(data)[pos:])
 
     def copy(self) -> "BitString":
         return BitString(self.bit_length, self.payload)

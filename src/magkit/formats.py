@@ -43,12 +43,8 @@ MCS_MAGIC = b"MCS1"
 
 
 def write_mcs(g: SimpleMag) -> bytes:
-    out = bytearray(MCS_MAGIC)
-    out += encode_uvarint(g.shape.order)
-    for n in g.shape.sizes:
-        out += encode_uvarint(n)
-    out += g.bits.payload
-    return bytes(out)
+    varints = map(encode_uvarint, (g.shape.order, *g.shape.sizes))
+    return b"".join([MCS_MAGIC, *varints, g.bits.payload])
 
 
 def read_mcs(data: bytes) -> SimpleMag:

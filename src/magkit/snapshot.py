@@ -209,12 +209,9 @@ def decode_snapshot(payload: SnapshotPayload) -> SimpleMag:
 
 
 def write_msc(payload: SnapshotPayload) -> bytes:
-    out = bytearray(MSC_MAGIC)
-    out += encode_uvarint(payload.n_vertices)
-    out += encode_uvarint(payload.n_times)
-    out.append(1 if payload.couplings else 0)
-    out += payload.blocks.payload
-    return bytes(out)
+    varints = map(encode_uvarint, (payload.n_vertices, payload.n_times))
+    flag = b"\x01" if payload.couplings else b"\x00"
+    return b"".join([MSC_MAGIC, *varints, flag, payload.blocks.payload])
 
 
 def read_msc(data: bytes) -> SnapshotPayload:

@@ -9,12 +9,13 @@ layer type). The report also carries two order-2 verdicts of
 
 One adjacency is built once per report and shared by every analyzer: an
 `Adjacency` is the MAG itself (a SimpleMag sharing its shape and bits) plus a
-dense uint8 matrix A, from which one blocked pass over A·A keeps the
-common-neighbor extremes and the distance <= 2 mask A ∨ A² (the matrix form
-of MAG traversal). The diameter and the non-sequential reachability are
-read off that mask. When some pair is farther than two apart, the diameter
-comes from the multi-source packed-word BFS of `magkit.traversal`, which
-starts every source at depth 2 from that mask.
+dense uint8 matrix A, written once from the string's rank run of each vertex
+row, from which one blocked pass over A·A keeps the common-neighbor extremes
+and the distance <= 2 mask A ∨ A² (the matrix form of MAG traversal). The
+diameter and the non-sequential reachability are read off that mask. When
+some pair is farther than two apart, the diameter comes from the multi-source
+packed-word BFS of `magkit.traversal`, which starts every source at depth 2
+from that mask.
 """
 
 from __future__ import annotations
@@ -102,12 +103,14 @@ def adjacency_rows(g: SimpleMag) -> list[int]:
 
 
 def dense_adjacency(g: SimpleMag) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix over vertex indices."""
+    """Symmetric 0/1 adjacency matrix over vertex indices: row a's edges
+    {a, b > a} are one rank run, written into row a and column a."""
     n = g.shape.vertex_count
     adj = np.zeros((n, n), dtype=np.uint8)
-    # A boolean mask fills in row-major order, which is rank order.
-    adj[np.triu(np.ones((n, n), dtype=bool), 1)] = g.bits.to_array()
-    adj |= adj.T
+    bits = g.bits.to_array()
+    for a in range(n):
+        start = ranks_from_pairs(n, a, a + 1)
+        adj[a, a + 1 :] = adj[a + 1 :, a] = bits[start : start + n - 1 - a]
     return adj
 
 

@@ -5,11 +5,14 @@ bijections, the .magt codec, interval contraction, the coupling checks and
 the snapshot-likeness test, the per-row spatial rank runs, and the
 one-source-at-a-time bitset BFS diameter; the snapshot codec and (full or
 spatial-only) generation through an array of one byte per possible edge;
-and the all-pairs sequential-coupling gather.
+the all-pairs sequential-coupling gather; and the dense adjacency through an
+N x N triangle mask. The spatial and coupling positions are computed once
+per shape and returned read-only.
 Tests compare the library against them; nothing in the library imports
 this module.
 """
 
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -79,15 +82,18 @@ def edge_from_rank(shape, rank):
     return vertex_from_index(shape, a), vertex_from_index(shape, b)
 
 
+@cache
 def spatial_positions(shape):
     """Ranks of the spatial pairs, block by block, pairs lexicographic."""
     n_vertices, n_times = shape.sizes
-    return np.array([
+    positions = np.array([
         edge_rank(shape, (u, t), (v, t))
         for t in range(n_times)
         for u in range(n_vertices)
         for v in range(u + 1, n_vertices)
     ], dtype=np.int64)
+    positions.flags.writeable = False
+    return positions
 
 
 def spatial_runs(shape):
@@ -104,13 +110,16 @@ def spatial_runs(shape):
     return runs
 
 
+@cache
 def coupling_positions(shape):
     n_vertices, n_times = shape.sizes
-    return np.array([
+    positions = np.array([
         edge_rank(shape, (u, t), (u, t + 1))
         for t in range(n_times - 1)
         for u in range(n_vertices)
     ], dtype=np.int64)
+    positions.flags.writeable = False
+    return positions
 
 
 def present_ranks(g):
@@ -332,6 +341,16 @@ def is_sequentially_coupled(g):
     v = (u[0], int(j[k % i.size]))
     kind = "missing-coupling" if sequential[k] else "non-sequential-coupling"
     return False, (kind, (u, v))
+
+
+def dense_adjacency(g):
+    """Symmetric 0/1 matrix: a boolean triangle mask fills in row-major
+    order, which is rank order, then the transpose is or-ed in."""
+    n = g.shape.vertex_count
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[np.triu(np.ones((n, n), dtype=bool), 1)] = g.bits.to_array()
+    adj |= adj.T
+    return adj
 
 
 def categorical_by_layer(g):

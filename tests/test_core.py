@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -106,23 +106,33 @@ def test_edge_bijection_matches_enumeration(sizes):
         assert edge_from_rank(shape, rank) == (u, v)
 
 
-def test_edge_rank_arithmetic_large_order():
-    import random
+LARGE_N = 10321
 
-    shape = CompanionTuple((10321,))
-    n = shape.vertex_count
-    rng = random.Random(2)
-    for _ in range(2000):
-        a = rng.randrange(n - 1)
-        b = rng.randrange(a + 1, n)
-        rank = edge_rank(shape, (a,), (b,))
-        assert 0 <= rank < shape.possible_edges
-        assert edge_from_rank(shape, rank) == ((a,), (b,))
-    # triangle-row boundaries are where the closed form is touchiest
-    for a in (0, 1, n // 2, n - 2):
-        first = edge_rank(shape, (a,), (a + 1,))
-        assert edge_from_rank(shape, first) == ((a,), (a + 1,))
-        assert edge_from_rank(shape, first - 1) != ((a,), (a + 1,)) if first else True
+
+@st.composite
+def large_order_pairs(draw):
+    a = draw(st.integers(0, LARGE_N - 2))
+    return a, draw(st.integers(a + 1, LARGE_N - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_order_pairs())
+# triangle-row boundaries are where the closed form is touchiest
+@example((0, 1))
+@example((1, 2))
+@example((LARGE_N // 2, LARGE_N // 2 + 1))
+@example((LARGE_N - 2, LARGE_N - 1))
+@example((0, LARGE_N - 1))
+def test_edge_rank_arithmetic_large_order(pair):
+    shape = CompanionTuple((LARGE_N,))
+    a, b = pair
+    rank = edge_rank(shape, (a,), (b,))
+    assert 0 <= rank < shape.possible_edges
+    assert edge_from_rank(shape, rank) == ((a,), (b,))
+    first = edge_rank(shape, (a,), (a + 1,))
+    assert edge_from_rank(shape, first) == ((a,), (a + 1,))
+    if a:  # the rank before a row's first is the last of the row above
+        assert edge_from_rank(shape, first - 1) == ((a - 1,), (LARGE_N - 1,))
 
 
 def test_shape_equality_and_hash():
@@ -240,17 +250,15 @@ def test_to_classical_edges():
     assert g.to_classical_edges() == [(0, 1)]
 
 
-def test_classical_roundtrip_random():
-    import random
-
-    rng = random.Random(99)
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(0, CompanionTuple((4, 3)).possible_edges - 1)))
+def test_classical_roundtrip_random(ranks):
     shape = CompanionTuple((4, 3))
-    ranks = rng.sample(range(shape.possible_edges), 20)
     g = SimpleMag(shape)
     for rank in ranks:
         g.bits.set(rank)
     classical = g.to_classical_edges()
-    assert len(classical) == 20
+    assert len(classical) == len(ranks)
     rebuilt = SimpleMag.from_edges(
         shape,
         [

@@ -56,6 +56,21 @@ def test_mcs_read_then_write_identity():
         assert write_mcs(read_mcs(data)) == data
 
 
+def test_mcs_codec_copies_the_payload_once():
+    # (128, 64): the payload is (8192^2 - 8192) / 16 bytes, 4.0 MiB, so
+    # 4.5 MiB allows one copy of it.
+    g = random_mag((128, 64), 7)
+    data = write_mcs(g)
+    for call in (lambda: read_mcs(data), lambda: write_mcs(g)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_mcs_bad_magic():
     with pytest.raises(BadMagicError):
         read_mcs(b"XXXX" + bytes([1, 2]))

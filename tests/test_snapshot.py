@@ -199,6 +199,20 @@ def test_msc_empty_bytes():
     assert write_msc(payload) == b"MSC1" + bytes([2, 1, 0, 0])
 
 
+def test_msc_bytes_with_couplings():
+    # (3, 2): two blocks of 3 bits, 101 and 101, then 2 zero padding bits
+    blocks = BitString.from_array(np.array([1, 0, 1, 1, 0, 1]))
+    payload = SnapshotPayload(3, 2, True, blocks)
+    data = write_msc(payload)
+    assert data == b"MSC1" + bytes([3, 2, 1, 0b1011_0100])
+    assert read_msc(data) == payload
+    g = decode_snapshot(payload)
+    assert sorted(g.edges()) == sorted([
+        ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((0, 1), (1, 1)), ((1, 1), (2, 1)),
+        ((0, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (2, 1)),
+    ])
+
+
 def test_msc_roundtrip():
     for seed in range(10):
         g = spatial_mag((6, 4), seed)

@@ -100,6 +100,41 @@ def test_adjacency_rows_match_dense():
     assert dense.diagonal().sum() == 0
 
 
+DENSE_ADJACENCY_CASES = {
+    "order 1": lambda: random_mag((11,), 1),
+    "order 2": lambda: random_mag((5, 3), 2),
+    "order 3": lambda: random_mag((3, 4, 2), 3),
+    "N = 1": lambda: SimpleMag(CompanionTuple((1,))),
+    "N = 2": lambda: complete_mag((2,)),
+    "empty": lambda: SimpleMag(CompanionTuple((6, 4))),
+    "complete": lambda: complete_mag((6, 4)),
+    "coupled TVG": lambda: coupled_tvg((9, 5), 4),
+    "N = 63": lambda: random_mag((7, 9), 5, 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_ADJACENCY_CASES))
+def test_dense_adjacency_matches_the_triangle_mask_build(name):
+    g = DENSE_ADJACENCY_CASES[name]()
+    adj = dense_adjacency(g)
+    expected = oracles.dense_adjacency(g)
+    assert adj.dtype == expected.dtype and np.array_equal(adj, expected)
+
+
+def test_dense_adjacency_writes_each_byte_once():
+    # N = 2048: A is 4 MiB and the unpacked string 2 MiB, so 7 MiB leaves
+    # no room for any other N x N array.
+    g = random_mag((128, 16), 7)
+    tracemalloc.start()
+    try:
+        adj = dense_adjacency(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert adj.sum(dtype=np.int64) == 2 * g.edge_count()
+
+
 def test_degree_profile_edge_cases():
     empty = SimpleMag(CompanionTuple((4, 2)))
     degrees, deviation = degree_profile(empty)
