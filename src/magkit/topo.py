@@ -108,8 +108,8 @@ def dense_adjacency(g: SimpleMag) -> np.ndarray:
     n = g.shape.vertex_count
     adj = np.zeros((n, n), dtype=np.uint8)
     bits = g.bits.to_array()
-    for a in range(n):
-        start = ranks_from_pairs(n, a, a + 1)
+    rows = np.arange(n)
+    for a, start in enumerate(ranks_from_pairs(n, rows, rows + 1).tolist()):
         adj[a, a + 1 :] = adj[a + 1 :, a] = bits[start : start + n - 1 - a]
     return adj
 

@@ -4,7 +4,8 @@ The bit-parallel multi-source BFS of Then et al., "The More the Merrier:
 Efficient Multi-Source Graph Traversal" (PVLDB 8(4), 2014): bit s of a
 vertex's uint64 words means source s has reached it, so one level of one
 block of 256 sources is one vectorised gather over a CSR of the adjacency,
-with no Python loop over sources or frontier vertices.
+with no Python loop over sources or frontier vertices. A block starts from
+its columns of A ∨ A², as visited set and frontier; A only builds the CSR.
 """
 
 from __future__ import annotations
@@ -24,19 +25,15 @@ def bfs_diameter(matrix: np.ndarray, within_two: np.ndarray) -> int | None:
     """Diameter of the graph of a symmetric 0/1 matrix; None if disconnected.
 
     `within_two` is its distance <= 2 mask, diagonal set, and must leave
-    some pair unset: every block of sources starts at depth 2 from it, and
-    the answer is at least 3.
+    some pair unset. Each block of sources starts at depth 2 from its columns
+    of it, as both visited set and frontier; `matrix` only builds the CSR.
     """
-    n = matrix.shape[0]
+    n = within_two.shape[0]
     indptr, cols = _csr(matrix)
     diameter = 2
     for lo in range(0, n, _BLOCK):
         width = min(_BLOCK, n - lo)
-        seen = within_two[:, lo:lo + _BLOCK]
-        distance_two = seen & (matrix[:, lo:lo + _BLOCK] == 0)
-        distance_two[np.arange(lo, lo + width), np.arange(width)] = False
-        visited = _pack_sources(seen)
-        frontier = _pack_sources(distance_two)
+        visited = frontier = _pack_sources(within_two[:, lo:lo + _BLOCK])
         depth = 2
         while True:
             reached = _advance(indptr, cols, frontier) & ~visited

@@ -135,6 +135,18 @@ def test_dense_adjacency_writes_each_byte_once():
     assert adj.sum(dtype=np.int64) == 2 * g.edge_count()
 
 
+def test_dense_adjacency_takes_its_row_starts_in_one_call(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ranks_from_pairs(*args)
+
+    monkeypatch.setattr(topo, "ranks_from_pairs", counting)
+    dense_adjacency(random_mag((128, 16), 7))
+    assert len(calls) == 1
+
+
 def test_degree_profile_edge_cases():
     empty = SimpleMag(CompanionTuple((4, 2)))
     degrees, deviation = degree_profile(empty)
