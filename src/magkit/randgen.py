@@ -8,11 +8,11 @@ order, and exact for dyadic probabilities such as the default 1/2.
 
 Both modes write their draws in place through one function over rank runs,
 `_fill`: full generation fills a reused window of WORD_CHUNK ranks per
-piece of [0, M), and spatial-only generation fills one mask over the runs
-of `snapshot.spatial_runs`, so it equals the full draw masked to the
-spatial positions. Each piece of a run is drawn on its own by setting the
-counter in `Philox.state`, whose layout is numpy's, not a documented
-contract; the test suite pins it. At p = 1 nothing is drawn.
+piece of [0, M), spatial-only generation the snapshot blocks over the runs
+of `snapshot.spatial_runs`, which the decoder places, so it equals the full
+draw masked to the spatial positions. Each piece of a run sets its counter
+in `Philox.state`, whose layout is numpy's, not a documented contract; the
+test suite pins it. At p = 1 nothing is drawn.
 
 Frozen test vectors for the word stream live in the test suite and README;
 they pin the algorithm, not just the library version.
@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitstring import BitString
 from .core import CompanionTuple, SimpleMag
 from .errors import ArgumentError, ShapeError
-from .snapshot import spatial_positions, spatial_runs
+from .snapshot import SnapshotPayload, decode_snapshot, spatial_runs
 
 SEED_BITS = 64
 # Philox words drawn per call: the draw buffer stays at 8 MiB whatever M is.
@@ -85,18 +86,16 @@ def _fill(spec: GenSpec, starts, ends, out: np.ndarray) -> None:
 
 
 def generate(spec: GenSpec) -> SimpleMag:
-    g = SimpleMag(spec.shape)
     if not spec.p_num:
-        return g
+        return SimpleMag(spec.shape)
     if spec.spatial_only:
-        positions = spatial_positions(spec.shape)
         starts, lengths = spatial_runs(spec.shape)
-        present = np.empty(positions.size, dtype=bool)
+        present = np.empty(int(lengths.sum()), dtype=bool)
         _fill(spec, map(int, starts), map(int, starts + lengths), present)
-        positions = positions[present]
-        del present  # set_many runs without the mask or the unmasked positions
-        g.bits.set_many(positions)
-        return g
+        blocks = BitString.from_array(present)
+        del present  # decode runs without the mask
+        return decode_snapshot(SnapshotPayload(*spec.shape.sizes, False, blocks))
+    g = SimpleMag(spec.shape)
     m = spec.shape.possible_edges
     window = np.empty(min(m, WORD_CHUNK), dtype=bool)
     # WORD_CHUNK is a multiple of 8, so each window starts on a byte

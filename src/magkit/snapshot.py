@@ -3,16 +3,17 @@
 A spatial edge joins two composite vertices that share the same second-aspect
 coordinate. A MAG whose present edges are all spatial can be losslessly
 rebuilt from just the spatial presence bits, one block of (nV^2 - nV)/2 bits
-per time instant (or layer), plus a header carrying (nV, nT). The encoder
-takes those bits out of the packed characteristic string; the decoder sets
-them, and with its flag the never-stored sequential couplings
-{(u, t_i), (u, t_i+1)}, into an empty one. Both hold O(M/8 + S + N) bytes
-(M possible edges, S spatial positions, N vertices), never one byte per
-possible edge. Every order-2 rule is a set of allowed ranks: the stray-edge
-test counts the present bits there and reads rank blocks only when that
-count falls short, to name the lowest stray; contraction and expansion
-gather the bits at one rank set and scatter them to another. Block rank
-sets come from one run builder; randgen draws the runs of `spatial_runs`.
+per time instant (or layer), plus a header carrying (nV, nT). Only the
+encoder gathers those bits out of the packed characteristic string, and
+only the decoder places them, with its flag the never-stored sequential
+couplings {(u, t_i), (u, t_i+1)} too, into an empty one. Both hold
+O(M/8 + S + N) bytes (M possible edges, S spatial positions, N vertices),
+never one byte per possible edge. Every order-2 rule is a set of allowed
+ranks from one run builder, and the stray-edge test counts the present
+bits there, reading rank blocks only when that count falls short, to name
+the lowest stray. randgen draws the runs of `spatial_runs` and contraction
+gathers its interval bits, each into blocks the decoder places; expansion
+scatters the encoder's blocks to the interval ranks.
 
 Also here: the interval-contraction reduction that turns a TVG whose edges
 all span mapped time intervals (t_i, f(t_i)) into a plain spatial TVG, and
@@ -201,8 +202,9 @@ def decode_snapshot(payload: SnapshotPayload) -> SimpleMag:
     and when the couplings flag is set all sequential couplings are added.
     """
     shape = payload.shape()
+    present = spatial_positions(shape)[payload.blocks.to_array() == 1]
     g = SimpleMag(shape)
-    g.bits.set_many(spatial_positions(shape)[payload.blocks.to_array() == 1])
+    g.bits.set_many(present)
     if payload.couplings:
         g.bits.set_many(coupling_positions(shape))
     return g
@@ -292,9 +294,8 @@ def contract_intervals(g: SimpleMag, interval_map: IntervalMap) -> SimpleMag:
     rank = _first_outside(g, positions)
     if rank is not None:
         _raise_not_interval(g.shape, rank, interval_map)
-    out = SimpleMag(CompanionTuple((n_vertices, len(interval_map))))
-    out.bits.set_many(spatial_positions(out.shape)[g.bits.take(positions) == 1])
-    return out
+    blocks = BitString.from_array(g.bits.take(positions))
+    return decode_snapshot(SnapshotPayload(n_vertices, len(interval_map), False, blocks))
 
 
 def _raise_not_interval(shape: CompanionTuple, rank: int, interval_map: IntervalMap):
@@ -323,10 +324,10 @@ def expand_intervals(
         )
     if interval_map.pairs[-1][1] >= time_count:
         raise ShapeError("interval map reaches past the requested instant count")
-    require_snapshot_like(g)
+    blocks = encode_snapshot(g).blocks
     out = SimpleMag(CompanionTuple((n_vertices, time_count)))
     positions = _block_positions(*_block_runs(out.shape, *np.array(interval_map.pairs).T))
-    out.bits.set_many(positions[g.bits.take(spatial_positions(g.shape)) == 1])
+    out.bits.set_many(positions[blocks.to_array() == 1])
     return out
 
 

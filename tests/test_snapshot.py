@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from magkit import snapshot
+from magkit import randgen, snapshot
 from magkit.bitstring import BLOCK, BitString
 from magkit.core import CompanionTuple, SimpleMag, edge_from_rank
 from magkit.errors import (
@@ -562,14 +562,44 @@ def test_snapshot_paths_hold_less_than_a_byte_per_position():
 
 
 def test_spatial_generation_holds_at_most_two_position_arrays():
-    # The payload is 4.00 MiB and the S positions 3.97 MiB. The positions are
-    # built (two such arrays at once) before the S-byte mask is filled, and
-    # the mask and the unmasked positions are freed before set_many, whose
-    # one int64 temporary is the size of what it scatters (all S at p = 1).
+    # The payload is 4.00 MiB and the S positions 3.97 MiB. The S-byte mask
+    # is filled and packed into blocks, and freed, before decode builds the
+    # positions (two such arrays at once) and selects the present ones; only
+    # then does it allocate the MAG, and set_many's one int64 temporary is
+    # the size of what it scatters (all S at p = 1). numpy.random is
+    # imported on first use, so it is imported before tracing.
+    generate(GenSpec(CompanionTuple((2, 2)), 1, 2, 7, spatial_only=True))
     shape = CompanionTuple((128, 64))
-    for p, limit_mib in [((1, 2), 12.1), ((1, 1), 13.5)]:
+    for p, limit_mib in [((1, 2), 9.5), ((1, 1), 13.5)]:
         _, peak = traced_peak(generate, GenSpec(shape, *p, 7, spatial_only=True))
         assert peak <= limit_mib * 2**20, (p, f"{peak / 2**20:.2f} MiB")
+
+
+def test_decode_selects_the_present_positions_before_it_allocates_the_mag():
+    # The S positions (3.97 MiB, two such arrays while they are built) are
+    # cut to the present half before the 4.00 MiB payload exists.
+    payload = encode_snapshot(spatial_mag((128, 64), 7), implied_couplings=True)
+    _, peak = traced_peak(decode_snapshot, payload)
+    assert peak <= 9.5 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_only_the_decoder_places_spatial_bits(monkeypatch):
+    decodes = []
+
+    def counted(payload):
+        decodes.append(payload.shape().sizes)
+        return decode_snapshot(payload)
+
+    monkeypatch.setattr(snapshot, "decode_snapshot", counted)
+    monkeypatch.setattr(randgen, "decode_snapshot", counted)
+    g = generate(GenSpec(CompanionTuple((5, 4)), 1, 2, 7, spatial_only=True))
+    assert decodes == [(5, 4)]
+    interval_map = IntervalMap(((0, 2), (2, 3), (3, 6), (6, 7)))
+    expanded = expand_intervals(g, interval_map, 8)
+    assert decodes == [(5, 4)]
+    assert contract_intervals(expanded, interval_map).bits == g.bits
+    assert decodes == [(5, 4), (5, 4)]
+    assert not hasattr(randgen, "spatial_positions")
 
 
 def test_bit_scatter_and_gather_build_one_int64_temporary():

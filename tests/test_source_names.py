@@ -1,11 +1,14 @@
 """Static checks over the library source, by `ast` alone: every private
 top-level name is used somewhere in the package, and every import outside
-`__init__.py` is used in its own module."""
+`__init__.py` is used in its own module. Also, README's library map has a
+row for every module."""
 
 import ast
+import re
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "magkit"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "magkit"
 MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCE.glob("*.py"))}
 
 
@@ -60,3 +63,11 @@ def test_every_import_is_used_in_its_module():
         if name not in read_names(tree)
     ]
     assert unused == []
+
+
+def test_every_module_has_a_library_map_row():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library map", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `magkit\.(\w+)`", section, re.MULTILINE))
+    modules = {name.removesuffix(".py") for name in MODULES} - {"__init__"}
+    assert sorted(modules - rows) == []
