@@ -113,9 +113,10 @@ class BitString:
         else:
             self.payload[index >> 3] &= ~mask
 
-    def count(self) -> int:  # BLOCK bytes at a time, so no M/8-byte int is built
-        return sum(int.from_bytes(self.payload[lo : lo + BLOCK], "big").bit_count()
-                   for lo in range(0, len(self.payload), BLOCK))
+    def count(self) -> int:  # BLOCK bytes at a time, so no M/8-byte array is built
+        buf = np.frombuffer(self.payload, np.uint8)
+        return sum(int(np.bitwise_count(buf[lo : lo + BLOCK]).sum())
+                   for lo in range(0, buf.size, BLOCK))
 
     def take(self, indices: np.ndarray) -> np.ndarray:
         """Bits at the given indices as a uint8 array."""

@@ -11,11 +11,12 @@ One adjacency is built once per report and shared by every analyzer: an
 `Adjacency` is the MAG itself (a SimpleMag sharing its shape and bits) plus a
 dense uint8 matrix A, written once from the string's rank run of each vertex
 row, from which one blocked pass over A·A keeps the common-neighbor extremes
-and the distance <= 2 mask A ∨ A² (the matrix form of MAG traversal). The
-diameter and the non-sequential reachability are read off that mask. When
-some pair is farther than two apart, the diameter comes from the multi-source
-packed-word BFS of `magkit.traversal`, which starts every source at depth 2
-from that mask.
+and the distance <= 2 mask A ∨ A² (the matrix form of MAG traversal); each
+row block multiplies only its non-zero column span. The diameter and the
+non-sequential reachability are read off that mask. When some pair is
+farther than two apart, the diameter comes from the multi-source packed-word
+BFS of `magkit.traversal`, which starts every source at depth 2 from that
+mask.
 """
 
 from __future__ import annotations
@@ -88,12 +89,19 @@ def _adjacency(g: SimpleMag) -> Adjacency:
 
 
 def _square_blocks(matrix: np.ndarray):
-    """(lo, hi, rows lo:hi of A·A as float32) over row blocks of A."""
+    """(lo, hi, rows lo:hi of A·A as float32) over row blocks of A.
+
+    Each block multiplies only the columns c0:c1 from its first to its last
+    non-zero column, outside which rows lo:hi of A are zero (narrow where A
+    is block-tridiagonal, as on a coupled snapshot TVG; empty with no edges).
+    """
     a = matrix.astype(np.float32)
     n = a.shape[0]
     for lo in range(0, n, _MATMUL_BLOCK):
         hi = min(lo + _MATMUL_BLOCK, n)
-        yield lo, hi, a[lo:hi] @ a
+        cols = np.flatnonzero(matrix[lo:hi].any(axis=0))
+        c0, c1 = (cols[0], cols[-1] + 1) if cols.size else (0, 0)
+        yield lo, hi, a[lo:hi, c0:c1] @ a[c0:c1]
 
 
 def adjacency_rows(g: SimpleMag) -> list[int]:

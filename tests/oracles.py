@@ -5,8 +5,9 @@ bijections, the .magt codec, interval contraction, the coupling checks and
 the snapshot-likeness test, the per-row spatial rank runs, and the
 one-source-at-a-time bitset BFS diameter; the snapshot codec and (full or
 spatial-only) generation through an array of one byte per possible edge;
-the all-pairs sequential-coupling gather; and the dense adjacency through an
-N x N triangle mask. The spatial and coupling positions are computed once
+the all-pairs sequential-coupling gather; the dense adjacency through an
+N x N triangle mask, and the A·A pass as one unblocked int64 product over
+all of A. The spatial and coupling positions are computed once
 per shape and returned read-only.
 Tests compare the library against them; nothing in the library imports
 this module.
@@ -351,6 +352,20 @@ def dense_adjacency(g):
     adj[np.triu(np.ones((n, n), dtype=bool), 1)] = g.bits.to_array()
     adj |= adj.T
     return adj
+
+
+def square_pass(g):
+    """(within_two, extremes, counts) from one int64 A·A over all of A:
+    the distance <= 2 mask with its diagonal set, the off-diagonal
+    (min, max) common-neighbor count (None when N < 2), and the count
+    matrix, whose diagonal is the degrees."""
+    a = dense_adjacency(g).astype(np.int64)
+    counts = a @ a
+    within = (counts > 0) | (a > 0)
+    np.fill_diagonal(within, True)
+    off_diagonal = counts[~np.eye(len(a), dtype=bool)]
+    extremes = (int(off_diagonal.min()), int(off_diagonal.max())) if len(a) > 1 else None
+    return within, extremes, counts
 
 
 def categorical_by_layer(g):

@@ -125,6 +125,7 @@ def test_int_conversion_against_slow_reference(n, seed):
 @settings(max_examples=100, deadline=None)
 @given(lengths, st.integers(0, 2**32))
 @with_short_lengths
+@example(8 * BLOCK + 13, 3)  # a payload longer than BLOCK bytes
 def test_count_and_take_against_per_byte_reference(n, seed):
     bs = BitString.from_array(random_bits(n, seed, 0.5))
     assert bs.count() == sum(b.bit_count() for b in bs.payload)

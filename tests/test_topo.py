@@ -443,6 +443,62 @@ def test_reachability_against_loop_oracle(g, aspect):
             failures[len(expected)]
 
 
+def tvg_with_an_empty_instant():
+    """A coupled (64,4) TVG placed in (64,5): instant 4 has no edges, and its
+    rows 256..319 are the whole second 256-row block of A."""
+    return SimpleMag.from_edges(CompanionTuple((64, 5)), coupled_tvg((64, 4), 5).edges())
+
+
+SQUARE_PASS_MAGS = {
+    "coupled tvg (32,12)": coupled_tvg((32, 12), 1),
+    "uncoupled tvg (32,12)": generate(
+        GenSpec(CompanionTuple((32, 12)), 1, 2, 1, spatial_only=True)
+    ),
+    "coupled tvg (100,3)": coupled_tvg((100, 3), 2),
+    "dense (20,15)": random_mag((20, 15), 3),
+    "sparse (20,15)": random_mag((20, 15), 4, 1, 64),
+    "empty instant (64,5)": tvg_with_an_empty_instant(),
+    "order 1 (300,)": random_mag((300,), 5),
+    "order 3 (10,6,5)": random_mag((10, 6, 5), 6, 1, 4),
+    "N = 1": random_mag((1,), 7),
+    "N = 2": complete_mag((2,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_PASS_MAGS))
+def test_square_pass_matches_the_unblocked_product(name):
+    g = SQUARE_PASS_MAGS[name]
+    within, extremes, counts = oracles.square_pass(g)
+    adj = Adjacency(g)
+    assert np.array_equal(adj.within_two, within)
+    assert adj.extremes == extremes
+    matrix = common_neighbor_matrix(g)
+    assert matrix.dtype == np.int32
+    assert np.array_equal(matrix, counts)
+    assert np.array_equal(np.diagonal(matrix), adj.matrix.sum(axis=1))
+
+
+def test_square_pass_multiplies_only_each_blocks_column_span(monkeypatch):
+    # A coupled TVG's A is block-tridiagonal: at (64,16), N = 1024, a block
+    # of 256 rows holds 4 instants, whose edges reach at most 6 instants.
+    products = []
+
+    class Recorded(np.ndarray):
+        def __matmul__(self, other):
+            products.append(self.shape)
+            return np.asarray(self) @ np.asarray(other)
+
+    square_blocks = topo._square_blocks
+    monkeypatch.setattr(topo, "_square_blocks", lambda m: square_blocks(m.view(Recorded)))
+    Adjacency(coupled_tvg((64, 16), 3)).extremes
+    n = 1024
+    assert sum(rows for rows, _ in products) == n
+    assert sum(rows * span for rows, span in products) <= n * n // 2
+    products.clear()
+    assert Adjacency(tvg_with_an_empty_instant()).extremes[0] == 0
+    assert products[-1] == (64, 0)
+
+
 def mag_from_graph(sizes, graph):
     g = SimpleMag(CompanionTuple(sizes))
     for a, b in graph.edges():
