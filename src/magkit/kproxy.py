@@ -20,7 +20,7 @@ from typing import Callable
 from .core import CompanionTuple, SimpleMag
 from .errors import ArgumentError, CompressorError
 from .formats import write_mcs
-from .snapshot import msc_header_bits, require_snapshot_like, spatial_edge_count
+from .snapshot import encode_snapshot, msc_header_bits, spatial_edge_count
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def compare_info(
         raise ArgumentError(
             f"shape mismatch: {general.shape.sizes} vs {spatial.shape.sizes}"
         )
-    require_snapshot_like(spatial)
+    encode_snapshot(spatial)  # raises NotSnapshotError on a non-spatial edge
     report = compute_gap(*general.shape.sizes)
     report.compressor = adapter.name
     report.compressed_general_bits = estimate_upper_bound(general, adapter)

@@ -9,15 +9,15 @@ only the decoder places them, with its flag the never-stored sequential
 couplings {(u, t_i), (u, t_i+1)} too, into an empty one. Both hold
 O(M/8 + S + N) bytes (M possible edges, S spatial positions, N vertices),
 never one byte per possible edge. Every order-2 rule is a set of allowed
-ranks from one run builder, and the stray-edge test counts the present
-bits there, reading rank blocks only when that count falls short, to name
-the lowest stray. randgen draws the runs of `spatial_runs` and contraction
-gathers its interval bits, each into blocks the decoder places; expansion
-scatters the encoder's blocks to the interval ranks.
+ranks from one run builder, and every verdict is one stray count of the
+present edges at none of them; the encoder and contraction keep the bits
+it gathers as their blocks, and only raising paths read rank blocks, to
+name the lowest stray. randgen draws the runs of `spatial_runs`, which the
+decoder places; expansion scatters the encoder's blocks to the interval ranks.
 
 Also here: the interval-contraction reduction that turns a TVG whose edges
 all span mapped time intervals (t_i, f(t_i)) into a plain spatial TVG, and
-every order-2 verdict: snapshot-likeness (the stray-edge test), and the
+every order-2 verdict: snapshot-likeness (a zero stray count), and the
 sequential and multiplex coupling checks, which share one same-node gather.
 """
 
@@ -137,16 +137,19 @@ class SnapshotPayload:
         return CompanionTuple((self.n_vertices, self.n_times))
 
 
-def _first_outside(g: SimpleMag, *allowed: np.ndarray) -> int | None:
-    """Lowest rank of a present edge at none of the allowed ranks (disjoint
-    ascending arrays), None if there is none; reads rank blocks only when
-    the present allowed bits are fewer than the edges."""
-    bits = [g.bits.take(ranks) == 1 for ranks in allowed]
-    if sum(int(np.count_nonzero(b)) for b in bits) == g.edge_count():
-        return None
+def _outside(g: SimpleMag, *allowed: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """The bits of g at each allowed rank array (disjoint arrays), and how
+    many present edges lie at none of them: the one stray count."""
+    bits = [g.bits.take(ranks) for ranks in allowed]
+    return bits, g.edge_count() - sum(int(np.count_nonzero(b)) for b in bits)
+
+
+def _first_stray(g: SimpleMag, allowed: list[np.ndarray], bits: list[np.ndarray]) -> int:
+    """Lowest stray rank, from the allowed ranks (ascending) and the bits
+    _outside gathered there. It reads rank blocks, so only raising paths call it."""
     # present allowed ranks, with M as a sentinel past every rank
     inside = np.sort(np.concatenate(
-        [ranks[b] for ranks, b in zip(allowed, bits)] + [[g.shape.possible_edges]]
+        [ranks[b == 1] for ranks, b in zip(allowed, bits)] + [[g.shape.possible_edges]]
     ))
     for ranks in g.rank_blocks():
         outside = inside[np.searchsorted(inside, ranks)] != ranks
@@ -154,27 +157,17 @@ def _first_outside(g: SimpleMag, *allowed: np.ndarray) -> int | None:
             return int(ranks[outside.argmax()])
 
 
-def first_stray_rank(g: SimpleMag, implied_couplings: bool = False) -> int | None:
-    """Lowest rank of a present edge that is not spatial (nor, with
-    implied_couplings, a sequential coupling); None if there is none."""
-    allowed = [spatial_positions(g.shape)]
-    if implied_couplings:
-        allowed.append(coupling_positions(g.shape))
-    return _first_outside(g, *allowed)
+def _snapshot_ranks(shape: CompanionTuple, implied_couplings: bool) -> list[np.ndarray]:
+    """Where a snapshot-like MAG may hold edges: the spatial ranks, then with
+    implied_couplings the sequential-coupling ranks."""
+    couplings = [coupling_positions(shape)] if implied_couplings else []
+    return [spatial_positions(shape), *couplings]
 
 
 def is_snapshot_like(g: SimpleMag, implied_couplings: bool = False) -> bool:
     """True iff every present edge is spatial (or a sequential coupling
     when implied_couplings), i.e. the snapshot encoder would accept g."""
-    return first_stray_rank(g, implied_couplings) is None
-
-
-def require_snapshot_like(g: SimpleMag, implied_couplings: bool = False) -> None:
-    rank = first_stray_rank(g, implied_couplings)
-    if rank is not None:
-        u, v = edge_from_rank(g.shape, rank)
-        kind = "spatial or sequential-coupling" if implied_couplings else "spatial"
-        raise NotSnapshotError(f"edge {u} -- {v} is not {kind}", edge=(u, v))
+    return _outside(g, *_snapshot_ranks(g.shape, implied_couplings))[1] == 0
 
 
 def encode_snapshot(
@@ -185,13 +178,20 @@ def encode_snapshot(
     """Gather the spatial bits of g into a SnapshotPayload.
 
     Without strip_non_spatial, every present edge must be spatial (or a
-    sequential coupling when implied_couplings); otherwise non-spatial
-    edges are silently dropped.
+    sequential coupling when implied_couplings), else NotSnapshotError names
+    the lowest stray; with it, non-spatial edges are silently dropped.
     """
     n_vertices, n_times = _require_order2(g.shape)
-    if not strip_non_spatial:
-        require_snapshot_like(g, implied_couplings)
-    blocks = BitString.from_array(g.bits.take(spatial_positions(g.shape)))
+    if strip_non_spatial:
+        bits = [g.bits.take(spatial_positions(g.shape))]
+    else:
+        allowed = _snapshot_ranks(g.shape, implied_couplings)
+        bits, strays = _outside(g, *allowed)
+        if strays:
+            u, v = edge_from_rank(g.shape, _first_stray(g, allowed, bits))
+            kind = "spatial or sequential-coupling" if implied_couplings else "spatial"
+            raise NotSnapshotError(f"edge {u} -- {v} is not {kind}", edge=(u, v))
+    blocks = BitString.from_array(bits[0])  # the spatial bits the stray count gathered
     return SnapshotPayload(n_vertices, n_times, implied_couplings, blocks)
 
 
@@ -291,10 +291,10 @@ def contract_intervals(g: SimpleMag, interval_map: IntervalMap) -> SimpleMag:
             f"MAG has {n_times}"
         )
     positions = _block_positions(*_block_runs(g.shape, *np.array(interval_map.pairs).T))
-    rank = _first_outside(g, positions)
-    if rank is not None:
-        _raise_not_interval(g.shape, rank, interval_map)
-    blocks = BitString.from_array(g.bits.take(positions))
+    bits, strays = _outside(g, positions)
+    if strays:
+        _raise_not_interval(g.shape, _first_stray(g, [positions], bits), interval_map)
+    blocks = BitString.from_array(bits[0])
     return decode_snapshot(SnapshotPayload(n_vertices, len(interval_map), False, blocks))
 
 
@@ -342,16 +342,16 @@ def check_multiplex_couplings(g: SimpleMag) -> CouplingCheck:
     """Multiplex-style verdicts with the second aspect read as layers.
 
     diagonal: every interlayer edge joins the same node to itself, that is,
-    the present spatial and same-node bits (disjoint sets) are all the edges.
+    the edges outside the spatial ranks (the stray count) are the same-node ones.
     categorical: every pair of layers is coupled at every node, that is, all
     nV * nL(nL - 1)/2 same-node bits are present.
     potentially_layer_connected: always true on a node-aligned MAG.
     """
     n_vertices, n_layers = _require_order2(g.shape)
-    spatial = int(np.count_nonzero(g.bits.take(spatial_positions(g.shape))))
+    non_spatial = _outside(g, spatial_positions(g.shape))[1]
     same_node = sum(int(np.count_nonzero(bits)) for bits in _same_node_bits(g))
     return CouplingCheck(
-        spatial + same_node == g.edge_count(),
+        non_spatial == same_node,
         same_node == n_vertices * n_layers * (n_layers - 1) // 2,
         True,
     )

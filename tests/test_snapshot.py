@@ -34,7 +34,6 @@ from magkit.snapshot import (
     decode_snapshot,
     encode_snapshot,
     expand_intervals,
-    first_stray_rank,
     is_sequentially_coupled,
     is_snapshot_like,
     is_spatial,
@@ -499,8 +498,12 @@ def test_multiplex_checks_match_oracle():
 def test_stray_edge_test_matches_mask_oracle(implied):
     for g in coupling_mags():
         expected = oracles.first_non_spatial(g, implied)
-        rank = first_stray_rank(g, implied)
-        assert (None if rank is None else edge_from_rank(g.shape, rank)) == expected
+        try:
+            encode_snapshot(g, implied_couplings=implied)
+            edge = None
+        except NotSnapshotError as exc:
+            edge = exc.edge
+        assert edge == expected
         assert is_snapshot_like(g, implied) == (expected is None)
 
 
@@ -720,10 +723,76 @@ def not_snapshot(g, implied):
     return NotSnapshotError, f"edge {u} -- {v} is not {kind}", (u, v)
 
 
+def snapshot_like(u, v):
+    return u[1] == v[1] or (u[0] == v[0] and v[1] == u[1] + 1)
+
+
+def diagonal(u, v):
+    return u[1] == v[1] or u[0] == v[0]
+
+
+def test_verdicts_on_strays_in_later_blocks_read_no_rank_block(monkeypatch):
+    g = spatial_mag((128, 20), 6)
+    off_snapshot = list(planted_strays(g, snapshot_like))
+    off_diagonal = list(planted_strays(g, diagonal))
+    calls = count_block_reads(monkeypatch)
+    for h in off_snapshot + off_diagonal:
+        assert not is_snapshot_like(h) and not is_snapshot_like(h, True)
+    for h in off_diagonal:
+        assert not check_multiplex_couplings(h).diagonal
+    assert calls == []
+
+
+def test_multiplex_checks_on_strays_in_later_blocks_match_oracle():
+    g = spatial_mag((128, 20), 6)
+    coupled = decode_snapshot(encode_snapshot(g, implied_couplings=True))
+    for h in (g, coupled):
+        for allowed in (snapshot_like, diagonal):
+            for strayed in planted_strays(h, allowed):
+                verdict = check_multiplex_couplings(strayed)
+                assert (verdict.diagonal, verdict.categorical) == (
+                    oracles.check_multiplex_couplings(strayed))
+
+
+def count_takes(monkeypatch):
+    """List that gets one entry, the index count, per BitString.take call."""
+    calls = []
+    take = BitString.take
+
+    def counted(self, indices):
+        calls.append(np.asarray(indices).size)
+        return take(self, indices)
+
+    monkeypatch.setattr(BitString, "take", counted)
+    return calls
+
+
+def test_each_allowed_rank_set_is_taken_once(monkeypatch):
+    n_vertices, n_times = 16, 6
+    g = spatial_mag((n_vertices, n_times), 3)
+    coupled = decode_snapshot(encode_snapshot(g, implied_couplings=True))
+    imap = IntervalMap(((0, 1), (1, 3), (3, 5)))
+    contracted = spatial_mag((n_vertices, len(imap)), 4)
+    intervals = expand_intervals(contracted, imap, n_times)
+    s = spatial_edge_count(g.shape)
+    c = n_vertices * (n_times - 1)
+    p = spatial_edge_count(contracted.shape)  # the interval positions
+    calls = count_takes(monkeypatch)
+    for run, takes in [
+        (lambda: encode_snapshot(g), [s]),
+        (lambda: encode_snapshot(coupled, implied_couplings=True), [s, c]),
+        (lambda: encode_snapshot(coupled, strip_non_spatial=True), [s]),
+        (lambda: contract_intervals(intervals, imap), [p]),
+        (lambda: expand_intervals(contracted, imap, n_times), [p]),
+    ]:
+        del calls[:]
+        run()
+        assert calls == takes
+
+
 def test_strays_in_later_blocks_match_oracles():
     g = spatial_mag((128, 20), 6)
     imap = IntervalMap(tuple((i, i + 1) for i in range(20)))
-    snapshot_like = lambda u, v: u[1] == v[1] or (u[0] == v[0] and v[1] == u[1] + 1)
     for strayed in planted_strays(g, snapshot_like):
         assert outcome(expand_intervals, strayed, imap, 21) == outcome(
             oracles.expand_intervals, strayed, imap, 21)
