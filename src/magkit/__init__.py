@@ -43,6 +43,7 @@ from .snapshot import (
 )
 from .topo import (
     common_neighbor_count,
+    common_neighbor_matrix,
     composite_diameter,
     degree_profile,
     is_non_sequential_interdimensional,

@@ -25,11 +25,6 @@ from .errors import PaddingError, RangeError, TrailingDataError, TruncatedError,
 # time: bounds the memory of every pass over the 1 bits.
 BLOCK = 1 << 15
 
-# Bit-reversal table: maps each byte to the byte with reversed bit order.
-# Lets to_int read MSB-first packed bytes as a little-endian integer with
-# one bytes.translate plus int.from_bytes, both O(n) in C.
-_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
-
 
 def encode_uvarint(value: int) -> bytes:
     if value < 0:
@@ -132,7 +127,7 @@ class BitString:
 
     def to_int(self) -> int:
         """Whole string as an integer with bit j of the string at bit j."""
-        return int.from_bytes(bytes(self.payload).translate(_REVERSED), "little")
+        return int.from_bytes(np.packbits(self.to_array(), bitorder="little").tobytes(), "little")
 
     def to_array(self) -> np.ndarray:
         """Bits as a uint8 array of length bit_length."""

@@ -57,11 +57,6 @@ class GenSpec:
             raise ShapeError("spatial-only generation needs a second-order MAG")
 
 
-def presence_words(seed: int, count: int) -> np.ndarray:
-    """First `count` raw 64-bit Philox words for the given key."""
-    return np.random.Philox(key=seed).random_raw(count)
-
-
 def _fill(spec: GenSpec, starts, ends, out: np.ndarray) -> None:
     """Write the presence of ranks [start, end) of each run, in order, into
     consecutive slices of the bool array `out`: rank j is present iff word j

@@ -12,8 +12,9 @@ never one byte per possible edge. Every order-2 rule is a set of allowed
 ranks from one run builder, and every verdict is one stray count of the
 present edges at none of them; the encoder and contraction keep the bits
 it gathers as their blocks, and only raising paths read rank blocks, to
-name the lowest stray. randgen draws the runs of `spatial_runs`, which the
-decoder places; expansion scatters the encoder's blocks to the interval ranks.
+name the lowest stray; stripping takes the encoder's gather and ignores its
+strays. randgen draws the runs of `spatial_runs`, which the decoder places;
+expansion scatters the encoder's blocks to the interval ranks.
 
 Also here: the interval-contraction reduction that turns a TVG whose edges
 all span mapped time intervals (t_i, f(t_i)) into a plain spatial TVG, and
@@ -177,20 +178,18 @@ def encode_snapshot(
 ) -> SnapshotPayload:
     """Gather the spatial bits of g into a SnapshotPayload.
 
-    Without strip_non_spatial, every present edge must be spatial (or a
-    sequential coupling when implied_couplings), else NotSnapshotError names
-    the lowest stray; with it, non-spatial edges are silently dropped.
+    Every present edge must be spatial (or a sequential coupling when
+    implied_couplings), else NotSnapshotError names the lowest stray. With
+    strip_non_spatial the gather is the same and its strays are ignored, so
+    non-spatial edges are silently dropped.
     """
     n_vertices, n_times = _require_order2(g.shape)
-    if strip_non_spatial:
-        bits = [g.bits.take(spatial_positions(g.shape))]
-    else:
-        allowed = _snapshot_ranks(g.shape, implied_couplings)
-        bits, strays = _outside(g, *allowed)
-        if strays:
-            u, v = edge_from_rank(g.shape, _first_stray(g, allowed, bits))
-            kind = "spatial or sequential-coupling" if implied_couplings else "spatial"
-            raise NotSnapshotError(f"edge {u} -- {v} is not {kind}", edge=(u, v))
+    allowed = _snapshot_ranks(g.shape, implied_couplings)
+    bits, strays = _outside(g, *allowed)
+    if strays and not strip_non_spatial:
+        u, v = edge_from_rank(g.shape, _first_stray(g, allowed, bits))
+        kind = "spatial or sequential-coupling" if implied_couplings else "spatial"
+        raise NotSnapshotError(f"edge {u} -- {v} is not {kind}", edge=(u, v))
     blocks = BitString.from_array(bits[0])  # the spatial bits the stray count gathered
     return SnapshotPayload(n_vertices, n_times, implied_couplings, blocks)
 

@@ -75,10 +75,9 @@ class Adjacency(SimpleMag):
         low, high = np.inf, -np.inf
         for lo, hi, block in _square_blocks(self.matrix):
             np.logical_or(block > 0, self.matrix[lo:hi], out=within[lo:hi])
-            rows = np.arange(hi - lo)
-            block[rows, rows + lo] = np.inf
+            np.fill_diagonal(block[:, lo:hi], np.inf)
             low = min(low, block.min())
-            block[rows, rows + lo] = -np.inf
+            np.fill_diagonal(block[:, lo:hi], -np.inf)
             high = max(high, block.max())
         np.fill_diagonal(within, True)
         return within, None if n < 2 else (int(low), int(high))

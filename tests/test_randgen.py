@@ -14,7 +14,7 @@ from magkit.bitstring import BitString
 from magkit.core import CompanionTuple
 from magkit.errors import ArgumentError, ShapeError
 from magkit.formats import write_mcs
-from magkit.randgen import SEED_BITS, WORD_CHUNK, GenSpec, generate, presence_words
+from magkit.randgen import SEED_BITS, WORD_CHUNK, GenSpec, generate
 from magkit.snapshot import is_spatial, spatial_edge_count, spatial_positions
 
 # Frozen Philox4x64 raw-word vectors: first four 64-bit outputs per key.
@@ -30,16 +30,16 @@ PHILOX_VECTORS = {
 
 def test_prng_vectors_pinned():
     for key, expected in PHILOX_VECTORS.items():
-        words = presence_words(key, 4)
+        words = np.random.Philox(key=key).random_raw(4)
         assert tuple(int(w) for w in words) == expected, key
 
 
 def test_prng_prefix_stability():
     # the first k words never depend on how many are drawn
-    long = presence_words(9, 64)
-    short = presence_words(9, 10)
+    long = np.random.Philox(key=9).random_raw(64)
+    short = np.random.Philox(key=9).random_raw(10)
     assert (long[:10] == short).all()
-    empty = presence_words(9, 0)
+    empty = np.random.Philox(key=9).random_raw(0)
     assert empty.dtype == np.uint64 and empty.size == 0
 
 
@@ -61,9 +61,10 @@ def test_generate_across_word_chunks():
     m = shape.possible_edges
     assert WORD_CHUNK < m < 2 * WORD_CHUNK and m % 8 == 5
     positions = spatial_positions(shape)
-    threshold = (3 << SEED_BITS) // 8
+    threshold = np.uint64((3 << SEED_BITS) // 8)
+    words = np.random.Philox(key=21).random_raw(m)
     for p_num, p_den, expected in [
-        (3, 8, (presence_words(21, m) < np.uint64(threshold)).astype(np.uint8)),
+        (3, 8, (words < threshold).astype(np.uint8)),
         (1, 1, np.ones(m, dtype=np.uint8)),
     ]:
         g = generate(GenSpec(shape, p_num, p_den, 21))
@@ -225,7 +226,7 @@ def test_philox_state_counter_contract(key, counter):
     drawn = words.random_raw(11)
     assert (drawn == np.random.Philox(key=key, counter=counter).random_raw(11)).all()
     if counter < 16:
-        stream = presence_words(key, 4 * counter + 11)
+        stream = np.random.Philox(key=key).random_raw(4 * counter + 11)
         assert (drawn == stream[4 * counter :]).all()
 
 

@@ -183,14 +183,22 @@ def test_encode_rejects_non_spatial():
 
 def test_strip_projection_idempotent():
     g = generate(GenSpec(CompanionTuple((5, 4)), 1, 2, 3))
-    stripped = decode_snapshot(encode_snapshot(g, strip_non_spatial=True))
+    couplings = [int(rank) for rank in coupling_positions(g.shape)]
+    assert 0 < sum(map(g.bits.get, couplings)) < len(couplings)
     spatial_only = SimpleMag(g.shape)
     for rank in spatial_positions(g.shape):
         if g.bits.get(int(rank)):
             spatial_only.bits.set(int(rank))
-    assert stripped == spatial_only
-    again = decode_snapshot(encode_snapshot(stripped))
-    assert again == stripped
+    for implied in (False, True):
+        payload = encode_snapshot(g, strip_non_spatial=True, implied_couplings=implied)
+        assert payload.couplings == implied
+        stripped = decode_snapshot(payload)
+        expected = spatial_only.copy()
+        if implied:  # the decoder adds back every sequential coupling
+            expected.bits.set_many(np.array(couplings))
+        assert stripped == expected
+        again = decode_snapshot(encode_snapshot(stripped, implied_couplings=implied))
+        assert again == stripped
 
 
 def test_msc_empty_bytes():
@@ -782,6 +790,7 @@ def test_each_allowed_rank_set_is_taken_once(monkeypatch):
         (lambda: encode_snapshot(g), [s]),
         (lambda: encode_snapshot(coupled, implied_couplings=True), [s, c]),
         (lambda: encode_snapshot(coupled, strip_non_spatial=True), [s]),
+        (lambda: encode_snapshot(coupled, True, True), [s, c]),
         (lambda: contract_intervals(intervals, imap), [p]),
         (lambda: expand_intervals(contracted, imap, n_times), [p]),
     ]:

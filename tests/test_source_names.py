@@ -1,5 +1,6 @@
 """Static checks over the library source, by `ast` alone: every private
-top-level name is used somewhere in the package, and every import outside
+top-level name is used somewhere in the package, every public top-level
+function or class is reached from somewhere, and every import outside
 `__init__.py` is used in its own module. Also, README's library map has a
 row for every module."""
 
@@ -52,6 +53,37 @@ def test_every_private_top_level_name_is_used():
         if name.startswith("_") and not name.startswith("__") and name not in used
     ]
     assert unused == []
+
+
+def perfbench_names():
+    """The string constants and attribute reads of perfbench/*.py: the
+    harness looks magkit names up by string, so these keep a name reached."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_top_level_name_is_reached():
+    # read somewhere in the package, exported by __init__, or named by perfbench
+    exported = {
+        alias.asname or alias.name
+        for node in MODULES["__init__.py"].body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    reached = set().union(*map(read_names, MODULES.values())) | exported | perfbench_names()
+    idle = [
+        f"{module.removesuffix('.py')}.{node.name}"
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in reached
+    ]
+    assert idle == []
 
 
 def test_every_import_is_used_in_its_module():
