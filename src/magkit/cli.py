@@ -62,6 +62,13 @@ def _read_graph(path: str):
     return read_mcs(data)
 
 
+def _write_graph(path: str, g) -> None:
+    if path.endswith(".magt"):
+        Path(path).write_text(write_magt(g))
+    else:
+        Path(path).write_bytes(write_mcs(g))
+
+
 def _emit_report(document: dict, args) -> None:
     if args.format == "json":
         text = json.dumps(document, sort_keys=True, indent=2) + "\n"
@@ -87,7 +94,7 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         spatial_only=args.spatial,
     )
-    Path(args.out).write_bytes(write_mcs(randgen.generate(spec)))
+    _write_graph(args.out, randgen.generate(spec))
     return EXIT_OK
 
 
@@ -102,7 +109,7 @@ def _cmd_encode_snapshot(args) -> int:
 
 def _cmd_decode_snapshot(args) -> int:
     payload = snapshot.read_msc(Path(args.input).read_bytes())
-    Path(args.out).write_bytes(write_mcs(snapshot.decode_snapshot(payload)))
+    _write_graph(args.out, snapshot.decode_snapshot(payload))
     return EXIT_OK
 
 
@@ -128,11 +135,7 @@ def _cmd_info_gap(args) -> int:
 def _cmd_convert(args) -> int:
     if not args.out.endswith((".magt", ".mcs")):
         raise ArgumentError(f"cannot infer format of {args.out!r}")
-    g = _read_graph(args.input)
-    if args.out.endswith(".magt"):
-        Path(args.out).write_text(write_magt(g))
-    else:
-        Path(args.out).write_bytes(write_mcs(g))
+    _write_graph(args.out, _read_graph(args.input))
     return EXIT_OK
 
 
@@ -156,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="64-bit generator seed")
     p.add_argument("--spatial", action="store_true",
                    help="restrict edges to spatial positions (order 2 only)")
-    p.add_argument("-o", "--out", required=True, help="output .mcs path")
+    p.add_argument("-o", "--out", required=True, help="output .mcs or .magt path")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("encode-snapshot", help="compress a spatial MAG to .msc")
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode-snapshot", help="expand an .msc back to .mcs")
     p.add_argument("input", help="input .msc path")
-    p.add_argument("-o", "--out", required=True, help="output .mcs path")
+    p.add_argument("-o", "--out", required=True, help="output .mcs or .magt path")
     p.set_defaults(func=_cmd_decode_snapshot)
 
     p = sub.add_parser("analyze", help="topology report for a MAG file")

@@ -7,14 +7,15 @@ never exact information content.
 
 Two adapters ship: DEFLATE (zlib, dictionary-based) and LZMA2 in a raw
 container (range-coder entropy backend, preset 9 extreme). Both are
-round-trip verified by the test suite.
+round-trip verified by the test suite. A GapReport's JSON keys are its
+field names in camelCase.
 """
 
 from __future__ import annotations
 
 import lzma
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .core import CompanionTuple, SimpleMag
@@ -83,16 +84,12 @@ class GapReport:
     ratio: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "totalPositions": self.total_positions,
-            "spatialPositions": self.spatial_positions,
-            "theoreticalGapBits": self.theoretical_gap_bits,
-            "headerBits": self.header_bits,
-            "compressor": self.compressor,
-            "compressedGeneralBits": self.compressed_general_bits,
-            "compressedSpatialBits": self.compressed_spatial_bits,
-            "ratio": self.ratio,
-        }
+        return {_camel_case(f.name): getattr(self, f.name) for f in fields(self)}
+
+
+def _camel_case(name: str) -> str:
+    head, *words = name.split("_")
+    return head + "".join(word.capitalize() for word in words)
 
 
 def compute_gap(n_vertices: int, n_times: int) -> GapReport:

@@ -191,17 +191,18 @@ def is_non_sequential_interdimensional(
     return abs(u[aspect - 1] - v[aspect - 1]) >= 2
 
 
-def _by_coordinate(matrix: np.ndarray, shape: CompanionTuple, aspect: int) -> np.ndarray:
-    """An N x N matrix as a (outer, c, inner) x (outer, c, inner) view.
-
-    Mixed radix makes vertex index = (outer * n_k + c) * stride_k + inner,
-    where c is the coordinate on `aspect`, so splitting each axis this way
-    needs no copy.
-    """
+def _split(shape: CompanionTuple, aspect: int) -> tuple[int, int, int]:
+    """(outer, n_k, inner), the one aspect split of a vertex index: mixed
+    radix makes it (o * n_k + c) * inner + i, c the coordinate on `aspect`,
+    i over the aspects before it (inner = stride_k), o over those after."""
     n_k = shape.sizes[aspect - 1]
     inner = shape.strides[aspect - 1]
-    outer = shape.vertex_count // (n_k * inner)
-    return matrix.reshape(outer, n_k, inner, outer, n_k, inner)
+    return shape.vertex_count // (n_k * inner), n_k, inner
+
+
+def _by_coordinate(matrix: np.ndarray, shape: CompanionTuple, aspect: int) -> np.ndarray:
+    """An N x N matrix as a `_split` x `_split` view, which needs no copy."""
+    return matrix.reshape(_split(shape, aspect) * 2)
 
 
 def non_sequential_census(g: SimpleMag) -> dict[int, int]:
@@ -225,9 +226,9 @@ class FailingPairs(Sequence):
     """Read-only pairs (u, v) of composite vertices, lexicographic in
     (c_u, c_v, index of u, index of v) for the coordinates c on one aspect.
 
-    Holds the positions of the pairs in the coordinate-major layout of
-    verify_non_sequential_reachability and builds coordinate tuples only
-    for the items read.
+    Holds the positions of the pairs in the one failing mask of
+    verify_non_sequential_reachability, laid out (c_u, c_v, o_u, i_u, o_v,
+    i_v) by `_split`, and builds coordinate tuples only for the items read.
     """
 
     __slots__ = ("_shape", "_aspect", "_positions")
@@ -246,14 +247,12 @@ class FailingPairs(Sequence):
         return self._pair(self._positions[item])
 
     def _pair(self, position) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        shape = self._shape
-        n_k = shape.sizes[self._aspect - 1]
-        inner = shape.strides[self._aspect - 1]
-        group = shape.vertex_count // n_k
-        c_u, c_v, p_u, p_v = np.unravel_index(int(position), (n_k, n_k, group, group))
-        a = (p_u // inner * n_k + c_u) * inner + p_u % inner
-        b = (p_v // inner * n_k + c_v) * inner + p_v % inner
-        return vertex_from_index(shape, a), vertex_from_index(shape, b)
+        outer, n_k, inner = split = _split(self._shape, self._aspect)
+        c_u, c_v, o_u, i_u, o_v, i_v = np.unravel_index(
+            int(position), (n_k, n_k, outer, inner, outer, inner)
+        )
+        a, b = np.ravel_multi_index(([o_u, o_v], [c_u, c_v], [i_u, i_v]), split).tolist()
+        return vertex_from_index(self._shape, a), vertex_from_index(self._shape, b)
 
 
 def _check_reachability_aspect(shape: CompanionTuple, aspect: int) -> None:
@@ -278,14 +277,14 @@ def verify_non_sequential_reachability(g: SimpleMag, aspect: int):
     """
     shape = g.shape
     _check_reachability_aspect(shape, aspect)
-    n_k = shape.sizes[aspect - 1]
-    group = shape.vertex_count // n_k
-    coords = np.arange(n_k)
-    qualifying = coords[None, :] - coords[:, None] >= 3
+    outer, n_k, inner = _split(shape, aspect)
     within = _by_coordinate(_adjacency(g).within_two, shape, aspect)
-    # (c_a, c_b, a within c_a, b within c_b), index order within each group
-    within = within.transpose(1, 4, 0, 2, 3, 5).reshape(n_k, n_k, group, group)
-    failing = qualifying[:, :, None, None] & ~within
+    # (c_a, c_b, a within c_a, b within c_b), index order within each group,
+    # negated and cleared in place: the one N x N mask. Copied explicitly, as
+    # with outer = 1 (every order-2 MAG) the reshape is a view of within_two.
+    failing = within.transpose(1, 4, 0, 2, 3, 5).copy().reshape(n_k, n_k, outer * inner, -1)
+    np.logical_not(failing, out=failing)
+    failing[np.tri(n_k, k=2, dtype=bool)] = False  # c_b - c_a < 3 never qualifies
     failures = FailingPairs(shape, aspect, np.flatnonzero(failing))
     return not failures, failures
 

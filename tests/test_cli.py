@@ -120,6 +120,22 @@ def test_info_gap_values(capsys):
     assert json.loads(capsys.readouterr().out)["theoreticalGapBits"] == 507904
 
 
+GAP_REPORT_KEYS = [
+    "compressedGeneralBits", "compressedSpatialBits", "compressor", "headerBits",
+    "ratio", "spatialPositions", "theoreticalGapBits", "totalPositions",
+]
+
+
+def test_gap_report_json_keys(tmp_path, capsys):
+    src = tmp_path / "s.mcs"
+    assert run(["gen", "--aspects", "8,4", "--seed", "1", "--spatial",
+                "-o", str(src)]) == 0
+    assert run(["info-gap", "--vertices", "8", "--times", "4"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == GAP_REPORT_KEYS
+    assert run(["compare-info", str(src), str(src)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == GAP_REPORT_KEYS
+
+
 def test_compare_info_same_file(tmp_path, capsys):
     src = tmp_path / "s.mcs"
     assert run(["gen", "--aspects", "8,4", "--seed", "1", "--spatial",
@@ -165,6 +181,22 @@ def test_convert_roundtrip(tmp_path):
     assert run(["convert", str(src), "-o", str(txt)]) == 0
     assert run(["convert", str(txt), "-o", str(back)]) == 0
     assert src.read_bytes() == back.read_bytes()
+
+
+def test_gen_and_decode_write_magt_by_extension(tmp_path):
+    # A .magt output path gets text: the bytes `convert` makes of the .mcs.
+    gen = ["gen", "--aspects", "4,3", "--seed", "1", "--spatial", "-o"]
+    msc = tmp_path / "g.msc"
+    assert run(gen + [str(tmp_path / "g.mcs")]) == 0
+    assert run(gen + [str(tmp_path / "g.magt")]) == 0
+    assert run(["encode-snapshot", str(tmp_path / "g.mcs"), "-o", str(msc)]) == 0
+    assert run(["decode-snapshot", str(msc), "-o", str(tmp_path / "d.mcs")]) == 0
+    assert run(["decode-snapshot", str(msc), "-o", str(tmp_path / "d.magt")]) == 0
+    for name in ("g", "d"):
+        converted = tmp_path / f"{name}.converted.magt"
+        assert run(["convert", str(tmp_path / f"{name}.mcs"), "-o", str(converted)]) == 0
+        assert (tmp_path / f"{name}.magt").read_bytes() == converted.read_bytes()
+    assert run(["analyze", str(tmp_path / "d.magt")]) == 0
 
 
 def test_convert_header_only_magt(tmp_path):

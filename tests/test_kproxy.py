@@ -119,6 +119,10 @@ def test_report_json_shape():
         ADAPTERS["lzma"],
     )
     doc = report.to_json_dict()
+    assert list(doc) == [
+        "totalPositions", "spatialPositions", "theoreticalGapBits", "headerBits",
+        "compressor", "compressedGeneralBits", "compressedSpatialBits", "ratio",
+    ]
     assert doc["theoreticalGapBits"] == doc["totalPositions"] - doc["spatialPositions"]
     assert doc["ratio"] == doc["compressedGeneralBits"] / doc["compressedSpatialBits"]
     assert doc["compressor"] == "lzma"

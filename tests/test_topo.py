@@ -443,6 +443,37 @@ def test_reachability_against_loop_oracle(g, aspect):
             failures[len(expected)]
 
 
+@pytest.mark.parametrize("sizes", [(64, 16), (32, 24)])
+def test_reachability_holds_one_failing_mask(sizes):
+    # Past the 8-byte positions of the failing pairs, the check holds one
+    # N x N bool mask: A ∨ A² itself is built before tracing starts.
+    adj = Adjacency(coupled_tvg(sizes, 3))
+    adj.within_two
+    n = adj.shape.vertex_count
+    tracemalloc.start()
+    try:
+        _, failures = verify_non_sequential_reachability(adj, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(failures) > 0
+    assert peak <= 8 * len(failures) + 1.25 * n * n, f"{(peak - 8 * len(failures)) / n**2:.2f} N²"
+
+
+@pytest.mark.parametrize("sizes, aspect", [
+    ((5, 7), 2), ((1, 7), 2), ((5, 1), 2), ((3, 5, 4), 2), ((3, 1, 4), 3), ((1, 6, 1), 2),
+])
+def test_reachability_leaves_the_cached_mask_unwritten(sizes, aspect):
+    # Where the coordinate-major view of A ∨ A² needs no copy (every order-2
+    # shape, and shapes whose other aspects have size 1), the check still
+    # negates a mask of its own.
+    adj = Adjacency(random_mag(sizes, 4, 1, 4))
+    before = adj.within_two.copy()
+    verdict, failures = verify_non_sequential_reachability(adj, aspect)
+    assert np.array_equal(adj.within_two, before)
+    assert (verdict, list(failures)) == reachability_oracle(adj, aspect)
+
+
 def tvg_with_an_empty_instant():
     """A coupled (64,4) TVG placed in (64,5): instant 4 has no edges, and its
     rows 256..319 are the whole second 256-row block of A."""
