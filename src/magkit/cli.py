@@ -86,7 +86,7 @@ def _emit_report(document: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     spec = randgen.GenSpec(
         shape=args.aspects,
         p_num=args.p_edge[0],
@@ -95,48 +95,41 @@ def _cmd_gen(args) -> int:
         spatial_only=args.spatial,
     )
     _write_graph(args.out, randgen.generate(spec))
-    return EXIT_OK
 
 
-def _cmd_encode_snapshot(args) -> int:
+def _cmd_encode_snapshot(args) -> None:
     g = _read_graph(args.input)
     payload = snapshot.encode_snapshot(
         g, strip_non_spatial=args.strip, implied_couplings=args.couplings
     )
     Path(args.out).write_bytes(snapshot.write_msc(payload))
-    return EXIT_OK
 
 
-def _cmd_decode_snapshot(args) -> int:
+def _cmd_decode_snapshot(args) -> None:
     payload = snapshot.read_msc(Path(args.input).read_bytes())
     _write_graph(args.out, snapshot.decode_snapshot(payload))
-    return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> None:
     g = _read_graph(args.input)
     _emit_report(topo.topo_report(g, reachability_aspect=args.aspect), args)
-    return EXIT_OK
 
 
-def _cmd_compare_info(args) -> int:
+def _cmd_compare_info(args) -> None:
     adapter = kproxy.get_adapter(args.compressor)
     general = _read_graph(args.general)
     spatial = _read_graph(args.spatial)
     _emit_report(kproxy.compare_info(general, spatial, adapter).to_json_dict(), args)
-    return EXIT_OK
 
 
-def _cmd_info_gap(args) -> int:
+def _cmd_info_gap(args) -> None:
     _emit_report(kproxy.compute_gap(args.vertices, args.times).to_json_dict(), args)
-    return EXIT_OK
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> None:
     if not args.out.endswith((".magt", ".mcs")):
         raise ArgumentError(f"cannot infer format of {args.out!r}")
     _write_graph(args.out, _read_graph(args.input))
-    return EXIT_OK
 
 
 def _add_report_flags(parser) -> None:
@@ -151,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a seeded random MAG (.mcs)")
+    p = sub.add_parser("gen", help="generate a seeded random MAG (.mcs or .magt)")
     p.add_argument("--aspects", type=_parse_aspects, required=True,
                    help="comma-separated aspect sizes, e.g. 32,16")
     p.add_argument("--p-edge", type=_parse_probability, default=(1, 2),
@@ -163,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("encode-snapshot", help="compress a spatial MAG to .msc")
-    p.add_argument("input", help="input .mcs path")
+    p.add_argument("input", help="input .mcs or .magt path")
     p.add_argument("--strip", action="store_true",
                    help="drop non-spatial edges instead of failing")
     p.add_argument("--couplings", action="store_true",
@@ -171,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True, help="output .msc path")
     p.set_defaults(func=_cmd_encode_snapshot)
 
-    p = sub.add_parser("decode-snapshot", help="expand an .msc back to .mcs")
+    p = sub.add_parser("decode-snapshot", help="expand an .msc back to .mcs or .magt")
     p.add_argument("input", help="input .msc path")
     p.add_argument("-o", "--out", required=True, help="output .mcs or .magt path")
     p.set_defaults(func=_cmd_decode_snapshot)
@@ -217,13 +210,14 @@ def _fail(code: int, error: Exception) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except NotSnapshotError as exc:
         return _fail(EXIT_DOMAIN, exc)
     except MagError as exc:
         return _fail(EXIT_USAGE, exc)
     except (OSError, MemoryError) as exc:
         return _fail(EXIT_IO, exc)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -191,18 +191,14 @@ def is_non_sequential_interdimensional(
     return abs(u[aspect - 1] - v[aspect - 1]) >= 2
 
 
-def _split(shape: CompanionTuple, aspect: int) -> tuple[int, int, int]:
-    """(outer, n_k, inner), the one aspect split of a vertex index: mixed
-    radix makes it (o * n_k + c) * inner + i, c the coordinate on `aspect`,
+def _by_coordinate(matrix: np.ndarray, shape: CompanionTuple, aspect: int) -> np.ndarray:
+    """An N x N matrix as an (outer, n_k, inner) x (outer, n_k, inner) view,
+    the one aspect split of a vertex index, which needs no copy: mixed radix
+    makes an index (o * n_k + c) * inner + i, c the coordinate on `aspect`,
     i over the aspects before it (inner = stride_k), o over those after."""
     n_k = shape.sizes[aspect - 1]
     inner = shape.strides[aspect - 1]
-    return shape.vertex_count // (n_k * inner), n_k, inner
-
-
-def _by_coordinate(matrix: np.ndarray, shape: CompanionTuple, aspect: int) -> np.ndarray:
-    """An N x N matrix as a `_split` x `_split` view, which needs no copy."""
-    return matrix.reshape(_split(shape, aspect) * 2)
+    return matrix.reshape((shape.vertex_count // (n_k * inner), n_k, inner) * 2)
 
 
 def non_sequential_census(g: SimpleMag) -> dict[int, int]:
@@ -226,31 +222,38 @@ class FailingPairs(Sequence):
     """Read-only pairs (u, v) of composite vertices, lexicographic in
     (c_u, c_v, index of u, index of v) for the coordinates c on one aspect.
 
-    Holds the positions of the pairs in the one failing mask of
-    verify_non_sequential_reachability, laid out (c_u, c_v, o_u, i_u, o_v,
-    i_v) by `_split`, and builds coordinate tuples only for the items read.
+    Holds the `_by_coordinate` view of A ∨ A², so it keeps those N² bools
+    alive, and the cumulative failure count of each (c_u, c_v) block. An item
+    takes its block's unset bits, in (o_u, i_u, o_v, i_v) order, which is
+    index order; the last block read is kept, so iteration reads each once.
     """
 
-    __slots__ = ("_shape", "_aspect", "_positions")
+    __slots__ = ("_shape", "_within", "_ends", "_block")
 
-    def __init__(self, shape: CompanionTuple, aspect: int, positions: np.ndarray):
+    def __init__(self, shape: CompanionTuple, within: np.ndarray, counts: np.ndarray):
         self._shape = shape
-        self._aspect = aspect
-        self._positions = positions
+        self._within = within
+        self._ends = np.cumsum(counts.ravel())
+        self._block = (-1, None)
 
     def __len__(self) -> int:
-        return int(self._positions.size)
+        return int(self._ends[-1])
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return [self._pair(p) for p in self._positions[item]]
-        return self._pair(self._positions[item])
+            return [self._pair(k) for k in range(len(self))[item]]
+        return self._pair(range(len(self))[item])
 
-    def _pair(self, position) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        outer, n_k, inner = split = _split(self._shape, self._aspect)
-        c_u, c_v, o_u, i_u, o_v, i_v = np.unravel_index(
-            int(position), (n_k, n_k, outer, inner, outer, inner)
-        )
+    def _pair(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        outer, n_k, inner = split = self._within.shape[:3]
+        block = int(np.searchsorted(self._ends, k, side="right"))
+        c_u, c_v = divmod(block, n_k)
+        read, failing = self._block  # read once: a concurrent reader may swap it
+        if read != block:
+            failing = np.flatnonzero(~self._within[:, c_u, :, :, c_v, :])
+            self._block = block, failing
+        start = int(self._ends[block]) - failing.size
+        o_u, i_u, o_v, i_v = np.unravel_index(failing[k - start], (outer, inner) * 2)
         a, b = np.ravel_multi_index(([o_u, o_v], [c_u, c_v], [i_u, i_v]), split).tolist()
         return vertex_from_index(self._shape, a), vertex_from_index(self._shape, b)
 
@@ -272,20 +275,17 @@ def verify_non_sequential_reachability(g: SimpleMag, aspect: int):
 
     With coordinates i and j, j - i >= 3, a direct edge is non-sequential,
     and every common neighbor w has |c_w - i| >= 2 or |c_w - j| >= 2, so a
-    pair fails exactly when it lies outside A ∨ A². Failing pairs come as a
-    FailingPairs sequence, lower coordinate first.
+    pair fails exactly when it lies outside A ∨ A². Each (c_a, c_b) block's
+    failures are counted in place in the cached A ∨ A², which nothing
+    writes; they come as a FailingPairs sequence, lower coordinate first.
     """
     shape = g.shape
     _check_reachability_aspect(shape, aspect)
-    outer, n_k, inner = _split(shape, aspect)
     within = _by_coordinate(_adjacency(g).within_two, shape, aspect)
-    # (c_a, c_b, a within c_a, b within c_b), index order within each group,
-    # negated and cleared in place: the one N x N mask. Copied explicitly, as
-    # with outer = 1 (every order-2 MAG) the reshape is a view of within_two.
-    failing = within.transpose(1, 4, 0, 2, 3, 5).copy().reshape(n_k, n_k, outer * inner, -1)
-    np.logical_not(failing, out=failing)
-    failing[np.tri(n_k, k=2, dtype=bool)] = False  # c_b - c_a < 3 never qualifies
-    failures = FailingPairs(shape, aspect, np.flatnonzero(failing))
+    outer, n_k, inner = within.shape[:3]
+    counts = (outer * inner) ** 2 - np.count_nonzero(within, axis=(0, 2, 3, 5))
+    counts[np.tri(n_k, k=2, dtype=bool)] = 0  # c_b - c_a < 3 never qualifies
+    failures = FailingPairs(shape, within, counts)
     return not failures, failures
 
 

@@ -6,9 +6,10 @@ the snapshot-likeness test, the per-row spatial rank runs, and the
 one-source-at-a-time bitset BFS diameter; the snapshot codec and (full or
 spatial-only) generation through an array of one byte per possible edge;
 the all-pairs sequential-coupling gather; the dense adjacency through an
-N x N triangle mask, and the A·A pass as one unblocked int64 product over
-all of A. The spatial and coupling positions are computed once
-per shape and returned read-only.
+N x N triangle mask, the A·A pass as one unblocked int64 product over
+all of A, and the reachability check's failing pairs from one negated,
+coordinate-major copy of A ∨ A². The spatial and coupling positions are
+computed once per shape and returned read-only.
 Tests compare the library against them; nothing in the library imports
 this module.
 """
@@ -366,6 +367,26 @@ def square_pass(g):
     off_diagonal = counts[~np.eye(len(a), dtype=bool)]
     extremes = (int(off_diagonal.min()), int(off_diagonal.max())) if len(a) > 1 else None
     return within, extremes, counts
+
+
+def failing_pairs(g, aspect):
+    """The reachability check's failing pairs, lower coordinate first: A ∨ A²
+    laid out (c_a, c_b, o_a, i_a, o_b, i_b) in a transposed copy, negated,
+    blocks with c_b - c_a < 3 cleared, then every unset position decoded."""
+    shape = g.shape
+    n_k = shape.sizes[aspect - 1]
+    inner = shape.strides[aspect - 1]
+    outer = shape.vertex_count // (n_k * inner)
+    within = square_pass(g)[0].reshape((outer, n_k, inner) * 2)
+    failing = ~within.transpose(1, 4, 0, 2, 3, 5)
+    failing[np.tri(n_k, k=2, dtype=bool)] = False
+    pairs = []
+    for position in np.flatnonzero(failing).tolist():
+        c_a, c_b, o_a, i_a, o_b, i_b = np.unravel_index(position, failing.shape)
+        a = (o_a * n_k + c_a) * inner + i_a
+        b = (o_b * n_k + c_b) * inner + i_b
+        pairs.append((vertex_from_index(shape, int(a)), vertex_from_index(shape, int(b))))
+    return pairs
 
 
 def categorical_by_layer(g):

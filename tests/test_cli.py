@@ -184,12 +184,16 @@ def test_convert_roundtrip(tmp_path):
 
 
 def test_gen_and_decode_write_magt_by_extension(tmp_path):
-    # A .magt output path gets text: the bytes `convert` makes of the .mcs.
+    # A .magt output path gets text: the bytes `convert` makes of the .mcs;
+    # encode-snapshot reads either file to the same .msc.
     gen = ["gen", "--aspects", "4,3", "--seed", "1", "--spatial", "-o"]
     msc = tmp_path / "g.msc"
     assert run(gen + [str(tmp_path / "g.mcs")]) == 0
     assert run(gen + [str(tmp_path / "g.magt")]) == 0
     assert run(["encode-snapshot", str(tmp_path / "g.mcs"), "-o", str(msc)]) == 0
+    from_magt = tmp_path / "g.magt.msc"
+    assert run(["encode-snapshot", str(tmp_path / "g.magt"), "-o", str(from_magt)]) == 0
+    assert from_magt.read_bytes() == msc.read_bytes()
     assert run(["decode-snapshot", str(msc), "-o", str(tmp_path / "d.mcs")]) == 0
     assert run(["decode-snapshot", str(msc), "-o", str(tmp_path / "d.magt")]) == 0
     for name in ("g", "d"):
@@ -197,6 +201,22 @@ def test_gen_and_decode_write_magt_by_extension(tmp_path):
         assert run(["convert", str(tmp_path / f"{name}.mcs"), "-o", str(converted)]) == 0
         assert (tmp_path / f"{name}.magt").read_bytes() == converted.read_bytes()
     assert run(["analyze", str(tmp_path / "d.magt")]) == 0
+
+
+@pytest.mark.parametrize("command", ["gen", "encode-snapshot", "decode-snapshot"])
+def test_command_help_names_magt(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--help"])
+    assert exit_info.value.code == 0
+    assert ".magt" in capsys.readouterr().out
+
+
+def test_command_list_names_magt_for_gen_and_decode(capsys):
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    lines = capsys.readouterr().out.splitlines()
+    for command in ("gen", "decode-snapshot"):
+        assert any(line.split()[:1] == [command] and ".magt" in line for line in lines)
 
 
 def test_convert_header_only_magt(tmp_path):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import networkx as nx
@@ -444,20 +446,22 @@ def test_reachability_against_loop_oracle(g, aspect):
 
 
 @pytest.mark.parametrize("sizes", [(64, 16), (32, 24)])
-def test_reachability_holds_one_failing_mask(sizes):
-    # Past the 8-byte positions of the failing pairs, the check holds one
-    # N x N bool mask: A ∨ A² itself is built before tracing starts.
+def test_reachability_holds_no_n_by_n_array(sizes):
+    # A ∨ A² is built before tracing starts; the check counts each block's
+    # failures in place and keeps no position per failing pair, so it and its
+    # first ten items stay far below one N x N bool mask.
     adj = Adjacency(coupled_tvg(sizes, 3))
     adj.within_two
     n = adj.shape.vertex_count
     tracemalloc.start()
     try:
         _, failures = verify_non_sequential_reachability(adj, 2)
+        failures[:10]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(failures) > 0
-    assert peak <= 8 * len(failures) + 1.25 * n * n, f"{(peak - 8 * len(failures)) / n**2:.2f} N²"
+    assert peak <= n * n / 8, f"{peak / n**2:.2f} N²"
 
 
 @pytest.mark.parametrize("sizes, aspect", [
@@ -466,12 +470,83 @@ def test_reachability_holds_one_failing_mask(sizes):
 def test_reachability_leaves_the_cached_mask_unwritten(sizes, aspect):
     # Where the coordinate-major view of A ∨ A² needs no copy (every order-2
     # shape, and shapes whose other aspects have size 1), the check still
-    # negates a mask of its own.
+    # writes nothing through it: it counts and reads the view in place.
     adj = Adjacency(random_mag(sizes, 4, 1, 4))
     before = adj.within_two.copy()
     verdict, failures = verify_non_sequential_reachability(adj, aspect)
     assert np.array_equal(adj.within_two, before)
     assert (verdict, list(failures)) == reachability_oracle(adj, aspect)
+
+
+FAILING_PAIR_CASES = [
+    ((3, 7, 4), 2), ((3, 7, 4), 3), ((2, 3, 9), 3), ((3, 1, 4), 3), ((1, 6, 1), 2),
+    ((6, 1, 7), 3), ((5, 9), 2), ((1, 12), 2), ((5, 1), 2), ((4, 2), 2),
+]
+
+
+@pytest.mark.parametrize("g, aspect", [
+    (random_mag(sizes, 5, 1, 8), aspect) for sizes, aspect in FAILING_PAIR_CASES
+] + [(coupled_tvg((6, 12), 3), 2)])
+def test_failing_pairs_index_and_slice_as_the_negated_mask(g, aspect):
+    # Items, slices and reversal cross block boundaries; zipping the sequence
+    # with its reverse swaps the kept block on nearly every read.
+    _, failures = verify_non_sequential_reachability(g, aspect)
+    expected = oracles.failing_pairs(g, aspect)
+    assert len(failures) == len(expected)
+    assert list(failures) == expected
+    assert failures[::7] == expected[::7]
+    assert failures[-3:] == expected[-3:]
+    assert failures[5:2:-1] == expected[5:2:-1]
+    assert list(reversed(failures)) == expected[::-1]
+    assert list(zip(failures, reversed(failures))) == list(zip(expected, expected[::-1]))
+    with pytest.raises(IndexError):
+        failures[len(failures)]
+
+
+def test_iterating_failing_pairs_reads_each_block_once(monkeypatch):
+    # Failing pairs of a coupled TVG (6,12) fill every block with c_b - c_a
+    # >= 3; iteration takes each block's unset bits once, in block order.
+    reads = []
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, tuple) and len(key) == 6:
+                reads.append((key[1], key[4]))
+            return super().__getitem__(key)
+
+    by_coordinate = topo._by_coordinate
+    monkeypatch.setattr(
+        topo, "_by_coordinate", lambda m, s, a: by_coordinate(m.view(Recorded), s, a)
+    )
+    _, failures = verify_non_sequential_reachability(coupled_tvg((6, 12), 3), 2)
+    assert len(list(failures)) == 6 * 6 * sum(range(10))
+    assert reads == [(c, d) for c in range(12) for d in range(c + 3, 12)]
+
+
+def test_failing_pairs_read_from_many_threads():
+    # Threads read one sequence in opposite directions, so each read may find
+    # the kept block swapped by another thread since its last read. The blocks
+    # of a sparse random MAG differ, so a stale block reads wrong pairs.
+    g = random_mag((6, 12), 5, 1, 8)
+    _, failures = verify_non_sequential_reachability(g, 2)
+    expected = oracles.failing_pairs(g, 2)
+    results = {}
+
+    def read(t):
+        results[t] = list(reversed(failures)) if t % 2 else list(failures)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(t,)) for t in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {t: expected[::-1] if t % 2 else expected for t in range(6)}
 
 
 def tvg_with_an_empty_instant():
