@@ -64,7 +64,7 @@ def _read_graph(path: str):
 
 def _write_graph(path: str, g) -> None:
     if path.endswith(".magt"):
-        Path(path).write_text(write_magt(g))
+        Path(path).write_text(write_magt(g), encoding="utf-8", newline="\n")
     else:
         Path(path).write_bytes(write_mcs(g))
 
@@ -81,7 +81,7 @@ def _emit_report(document: dict, args) -> None:
             lines.append(f"{key}: {value}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
 

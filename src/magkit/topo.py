@@ -12,11 +12,11 @@ One adjacency is built once per report and shared by every analyzer: an
 dense uint8 matrix A, written once from the string's rank run of each vertex
 row, from which one blocked pass over A·A keeps the common-neighbor extremes
 and the distance <= 2 mask A ∨ A² (the matrix form of MAG traversal); each
-row block multiplies only its non-zero column span. The diameter and the
-non-sequential reachability are read off that mask. When some pair is
-farther than two apart, the diameter comes from the multi-source packed-word
-BFS of `magkit.traversal`, which starts every source at depth 2 from that
-mask.
+row block multiplies only its non-zero column span. The diameter is read off
+that mask; when some pair is farther than two apart, it comes from the
+multi-source packed-word BFS of `magkit.traversal`, which starts every source
+at depth 2 from that mask. The non-sequential census and reachability check
+read one coordinate-block sum, of A and of that mask, as an upper triangle.
 """
 
 from __future__ import annotations
@@ -195,27 +195,27 @@ def _by_coordinate(matrix: np.ndarray, shape: CompanionTuple, aspect: int) -> np
     """An N x N matrix as an (outer, n_k, inner) x (outer, n_k, inner) view,
     the one aspect split of a vertex index, which needs no copy: mixed radix
     makes an index (o * n_k + c) * inner + i, c the coordinate on `aspect`,
-    i over the aspects before it (inner = stride_k), o over those after."""
+    i over the aspects before it (inner = stride_k), o over those after.
+    The census and the reachability check both read its `_block_sums`."""
     n_k = shape.sizes[aspect - 1]
     inner = shape.strides[aspect - 1]
     return matrix.reshape((shape.vertex_count // (n_k * inner), n_k, inner) * 2)
+
+
+def _block_sums(view: np.ndarray) -> np.ndarray:
+    """n_k x n_k: the set entries of each (c, d) block of a `_by_coordinate` view."""
+    return view.sum(axis=(0, 2, 3, 5), dtype=np.int64)
 
 
 def non_sequential_census(g: SimpleMag) -> dict[int, int]:
     """Per-aspect counts of present edges with coordinate gap >= 2."""
     matrix = _adjacency(g).matrix
     shape = g.shape
-    census = {}
-    for aspect in range(2, shape.order + 1):
-        # blocks[c, d]: edges from coordinate c to d, each edge counted
-        # once from either end.
-        blocks = _by_coordinate(matrix, shape, aspect).sum(
-            axis=(0, 2, 3, 5), dtype=np.int64
-        )
-        coords = np.arange(blocks.shape[0])
-        gap = np.abs(coords[:, None] - coords[None, :]) >= 2
-        census[aspect] = int(blocks[gap].sum()) // 2
-    return census
+    # A is symmetric: the blocks with d - c >= 2 hold each such edge once.
+    return {
+        aspect: int(np.triu(_block_sums(_by_coordinate(matrix, shape, aspect)), k=2).sum())
+        for aspect in range(2, shape.order + 1)
+    }
 
 
 class FailingPairs(Sequence):
@@ -275,16 +275,15 @@ def verify_non_sequential_reachability(g: SimpleMag, aspect: int):
 
     With coordinates i and j, j - i >= 3, a direct edge is non-sequential,
     and every common neighbor w has |c_w - i| >= 2 or |c_w - j| >= 2, so a
-    pair fails exactly when it lies outside A ∨ A². Each (c_a, c_b) block's
-    failures are counted in place in the cached A ∨ A², which nothing
-    writes; they come as a FailingPairs sequence, lower coordinate first.
+    pair fails exactly when it lies outside A ∨ A². The blocks with
+    c_b - c_a >= 3 count their failures in place in the cached A ∨ A², which
+    nothing writes; they come as a FailingPairs sequence, lower coordinate first.
     """
     shape = g.shape
     _check_reachability_aspect(shape, aspect)
     within = _by_coordinate(_adjacency(g).within_two, shape, aspect)
-    outer, n_k, inner = within.shape[:3]
-    counts = (outer * inner) ** 2 - np.count_nonzero(within, axis=(0, 2, 3, 5))
-    counts[np.tri(n_k, k=2, dtype=bool)] = 0  # c_b - c_a < 3 never qualifies
+    outer, _, inner = within.shape[:3]
+    counts = np.triu((outer * inner) ** 2 - _block_sums(within), k=3)
     failures = FailingPairs(shape, within, counts)
     return not failures, failures
 

@@ -38,7 +38,8 @@ def test_gate_exit_code(tmp_path, monkeypatch, cases, code):
     report.write_text(
         '<?xml version="1.0" encoding="utf-8"?><testsuites>'
         f'<testsuite name="pytest" tests="{len(cases)}">{"".join(cases)}</testsuite>'
-        "</testsuites>"
+        "</testsuites>",
+        encoding="utf-8",
     )
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), str(report)])
     with pytest.raises(SystemExit) as info:

@@ -1,8 +1,11 @@
 """CLI contracts: determinism, exit codes, pipeline round trips."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,9 @@ import pytest
 import oracles
 from magkit.cli import main
 from magkit.core import CompanionTuple, SimpleMag
-from magkit.formats import read_mcs, write_mcs
+from magkit.formats import read_mcs, write_magt, write_mcs
+from magkit.kproxy import compute_gap
+from magkit.topo import topo_report
 
 
 def run(argv):
@@ -156,7 +161,7 @@ def test_compare_info_rejects_non_snapshot_spatial_file(tmp_path, capsys):
 
 def readme_cli_block():
     """The magkit command lines of README's CLI section, with their comments."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [line.partition("#")[::2] for line in block.splitlines()
             if line.startswith("magkit ")]
@@ -221,7 +226,7 @@ def test_command_list_names_magt_for_gen_and_decode(capsys):
 
 def test_convert_header_only_magt(tmp_path):
     txt = tmp_path / "empty.magt"
-    txt.write_text("mag 2 3 2\n")
+    txt.write_text("mag 2 3 2\n", encoding="utf-8")
     out = tmp_path / "empty.mcs"
     assert run(["convert", str(txt), "-o", str(out)]) == 0
     assert read_mcs(out.read_bytes()).edge_count() == 0
@@ -229,7 +234,7 @@ def test_convert_header_only_magt(tmp_path):
 
 def test_convert_duplicate_edge_exit_2(tmp_path, capsys):
     txt = tmp_path / "dup.magt"
-    txt.write_text("mag 2 3 2\ne 0 0 1 0\ne 0 0 1 0\n")
+    txt.write_text("mag 2 3 2\ne 0 0 1 0\ne 0 0 1 0\n", encoding="utf-8")
     assert run(["convert", str(txt), "-o", str(tmp_path / "x.mcs")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "DuplicateEdgeError"
 
@@ -279,7 +284,51 @@ def test_report_out_flag(tmp_path):
     dst = tmp_path / "report.json"
     assert run(["gen", "--aspects", "4,3", "--seed", "4", "-o", str(src)]) == 0
     assert run(["analyze", str(src), "--out", str(dst)]) == 0
-    assert json.loads(dst.read_text())["shape"] == [4, 3]
+    assert json.loads(dst.read_text(encoding="utf-8"))["shape"] == [4, 3]
+
+
+def json_bytes(document):
+    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
+
+
+def magt_bytes(g):
+    return write_magt(g).encode()
+
+
+# command -> (argv run in the test's directory, the expected bytes of the
+# last argument as a function of the MAG in g.mcs)
+TEXT_OUTPUTS = {
+    "gen": (["gen", "--aspects", "4,3", "--seed", "2", "--spatial", "-o", "out.magt"],
+            magt_bytes),
+    "convert": (["convert", "g.mcs", "-o", "out.magt"], magt_bytes),
+    "decode-snapshot": (["decode-snapshot", "g.msc", "-o", "out.magt"], magt_bytes),
+    "analyze": (["analyze", "g.mcs", "--aspect", "2", "--out", "out.json"],
+                lambda g: json_bytes(topo_report(g, reachability_aspect=2))),
+    "info-gap": (["info-gap", "--vertices", "3", "--times", "2", "--out", "out.json"],
+                 lambda g: json_bytes(compute_gap(3, 2).to_json_dict())),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_OUTPUTS))
+def test_text_outputs_are_utf8_with_newline_ends(tmp_path, command):
+    # Under warn_default_encoding a text write that falls back on the
+    # locale's encoding warns, and -W error turns that into a failed run; the
+    # file holds the same bytes on every platform.
+    argv, expected = TEXT_OUTPUTS[command]
+    assert run(["gen", "--aspects", "4,3", "--seed", "2", "--spatial",
+                "-o", str(tmp_path / "g.mcs")]) == 0
+    assert run(["encode-snapshot", str(tmp_path / "g.mcs"), "-o", str(tmp_path / "g.msc")]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "magkit.cli", *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, check=False,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    g = read_mcs((tmp_path / "g.mcs").read_bytes())
+    assert (tmp_path / argv[-1]).read_bytes() == expected(g)
 
 
 def test_text_format(tmp_path, capsys):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "magkit"
-MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SOURCE.glob("*.py"))}
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(SOURCE.glob("*.py"))}
 
 
 def read_names(tree):
@@ -60,7 +60,7 @@ def perfbench_names():
     harness looks magkit names up by string, so these keep a name reached."""
     names = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
             elif isinstance(node, ast.Attribute):
@@ -98,7 +98,7 @@ def test_every_import_is_used_in_its_module():
 
 
 def test_every_module_has_a_library_map_row():
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library map", 1)[1].split("\n## ", 1)[0]
     rows = set(re.findall(r"^\| `magkit\.(\w+)`", section, re.MULTILINE))
     modules = {name.removesuffix(".py") for name in MODULES} - {"__init__"}

@@ -302,16 +302,6 @@ def test_non_sequential_edge_predicate():
         is_non_sequential_interdimensional((0, 1), (5, 4), 3)
 
 
-def test_census_against_edge_scan():
-    g = random_mag((3, 4, 3), 55, 1, 3)
-    expected = {2: 0, 3: 0}
-    for u, v in g.edges():
-        for aspect in (2, 3):
-            if abs(u[aspect - 1] - v[aspect - 1]) >= 2:
-                expected[aspect] += 1
-    assert non_sequential_census(g) == expected
-
-
 def test_reachability_complete_and_spatial():
     comp = complete_mag((2, 6))
     verdict, failures = verify_non_sequential_reachability(comp, 2)
@@ -482,6 +472,38 @@ FAILING_PAIR_CASES = [
     ((3, 7, 4), 2), ((3, 7, 4), 3), ((2, 3, 9), 3), ((3, 1, 4), 3), ((1, 6, 1), 2),
     ((6, 1, 7), 3), ((5, 9), 2), ((1, 12), 2), ((5, 1), 2), ((4, 2), 2),
 ]
+
+
+@pytest.mark.parametrize("g", [
+    random_mag((3, 4, 3), 55, 1, 3),
+    *(random_mag(sizes, 5) for sizes in dict.fromkeys(sizes for sizes, _ in FAILING_PAIR_CASES)),
+    random_mag((2, 3, 4, 5), 6, 1, 3),
+    coupled_tvg((6, 12), 3),
+], ids=lambda g: "x".join(map(str, g.shape.sizes)))
+def test_census_against_edge_scan(g):
+    # Every aspect, n_k <= 2 and size-1 aspects included.
+    expected = dict.fromkeys(range(2, g.shape.order + 1), 0)
+    for u, v in g.edges():
+        for aspect in expected:
+            if abs(u[aspect - 1] - v[aspect - 1]) >= 2:
+                expected[aspect] += 1
+    assert non_sequential_census(g) == expected
+
+
+@pytest.mark.parametrize("sizes", [(64, 16), (32, 24)])
+def test_census_holds_no_n_by_n_array(sizes):
+    # A is built before tracing starts; the census reduces views of it to
+    # n_k x n_k block sums.
+    adj = Adjacency(random_mag(sizes, 3))
+    n = adj.shape.vertex_count
+    tracemalloc.start()
+    try:
+        census = non_sequential_census(adj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert census[2] > 0
+    assert peak <= n * n / 8, f"{peak / n**2:.3f} N²"
 
 
 @pytest.mark.parametrize("g, aspect", [
