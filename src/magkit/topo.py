@@ -15,8 +15,8 @@ and the distance <= 2 mask A ∨ A² (the matrix form of MAG traversal); each
 row block multiplies only its non-zero column span. The diameter is read off
 that mask; when some pair is farther than two apart, it comes from the
 multi-source packed-word BFS of `magkit.traversal`, which starts every source
-at depth 2 from that mask. The non-sequential census and reachability check
-read one coordinate-block sum, of A and of that mask, as an upper triangle.
+at depth 2 from that mask. The non-sequential census reads A's far block
+diagonals in place, and the reachability check counts that mask's far blocks.
 """
 
 from __future__ import annotations
@@ -196,26 +196,23 @@ def _by_coordinate(matrix: np.ndarray, shape: CompanionTuple, aspect: int) -> np
     the one aspect split of a vertex index, which needs no copy: mixed radix
     makes an index (o * n_k + c) * inner + i, c the coordinate on `aspect`,
     i over the aspects before it (inner = stride_k), o over those after.
-    The census and the reachability check both read its `_block_sums`."""
+    Block (c, d) is view[:, c, :, :, d, :]; the census and `FailingPairs` read it."""
     n_k = shape.sizes[aspect - 1]
     inner = shape.strides[aspect - 1]
     return matrix.reshape((shape.vertex_count // (n_k * inner), n_k, inner) * 2)
-
-
-def _block_sums(view: np.ndarray) -> np.ndarray:
-    """n_k x n_k: the set entries of each (c, d) block of a `_by_coordinate` view."""
-    return view.sum(axis=(0, 2, 3, 5), dtype=np.int64)
 
 
 def non_sequential_census(g: SimpleMag) -> dict[int, int]:
     """Per-aspect counts of present edges with coordinate gap >= 2."""
     matrix = _adjacency(g).matrix
     shape = g.shape
-    # A is symmetric: the blocks with d - c >= 2 hold each such edge once.
-    return {
-        aspect: int(np.triu(_block_sums(_by_coordinate(matrix, shape, aspect)), k=2).sum())
-        for aspect in range(2, shape.order + 1)
-    }
+    census = {}
+    for aspect in range(2, shape.order + 1):
+        view = _by_coordinate(matrix, shape, aspect)
+        # A is symmetric: its block diagonals d - c >= 2 hold each such edge once.
+        diagonals = (view.diagonal(d, 1, 4) for d in range(2, view.shape[1]))
+        census[aspect] = sum(int(np.count_nonzero(diagonal)) for diagonal in diagonals)
+    return census
 
 
 class FailingPairs(Sequence):
@@ -223,17 +220,20 @@ class FailingPairs(Sequence):
     (c_u, c_v, index of u, index of v) for the coordinates c on one aspect.
 
     Holds the `_by_coordinate` view of A ∨ A², so it keeps those N² bools
-    alive, and the cumulative failure count of each (c_u, c_v) block. An item
-    takes its block's unset bits, in (o_u, i_u, o_v, i_v) order, which is
-    index order; the last block read is kept, so iteration reads each once.
+    alive, and the cumulative unset count of each (c_u, c_v) block with
+    c_v - c_u >= 3. An item takes its block's unset bits, in (o_u, i_u, o_v,
+    i_v) order, which is index order; the last block read is kept, so
+    iteration reads each once.
     """
 
     __slots__ = ("_shape", "_within", "_ends", "_block")
 
-    def __init__(self, shape: CompanionTuple, within: np.ndarray, counts: np.ndarray):
+    def __init__(self, shape: CompanionTuple, within: np.ndarray):
         self._shape = shape
         self._within = within
-        self._ends = np.cumsum(counts.ravel())
+        outer, _, inner = within.shape[:3]
+        unset = np.triu((outer * inner) ** 2 - within.sum(axis=(0, 2, 3, 5)), k=3).ravel()
+        self._ends = np.cumsum(unset, out=unset)
         self._block = (-1, None)
 
     def __len__(self) -> int:
@@ -245,7 +245,7 @@ class FailingPairs(Sequence):
         return self._pair(range(len(self))[item])
 
     def _pair(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        outer, n_k, inner = split = self._within.shape[:3]
+        outer, n_k, inner = self._within.shape[:3]
         block = int(np.searchsorted(self._ends, k, side="right"))
         c_u, c_v = divmod(block, n_k)
         read, failing = self._block  # read once: a concurrent reader may swap it
@@ -253,8 +253,9 @@ class FailingPairs(Sequence):
             failing = np.flatnonzero(~self._within[:, c_u, :, :, c_v, :])
             self._block = block, failing
         start = int(self._ends[block]) - failing.size
-        o_u, i_u, o_v, i_v = np.unravel_index(failing[k - start], (outer, inner) * 2)
-        a, b = np.ravel_multi_index(([o_u, o_v], [c_u, c_v], [i_u, i_v]), split).tolist()
+        u, v = divmod(int(failing[k - start]), outer * inner)
+        (o_u, i_u), (o_v, i_v) = divmod(u, inner), divmod(v, inner)
+        a, b = (o_u * n_k + c_u) * inner + i_u, (o_v * n_k + c_v) * inner + i_v
         return vertex_from_index(self._shape, a), vertex_from_index(self._shape, b)
 
 
@@ -281,10 +282,7 @@ def verify_non_sequential_reachability(g: SimpleMag, aspect: int):
     """
     shape = g.shape
     _check_reachability_aspect(shape, aspect)
-    within = _by_coordinate(_adjacency(g).within_two, shape, aspect)
-    outer, _, inner = within.shape[:3]
-    counts = np.triu((outer * inner) ** 2 - _block_sums(within), k=3)
-    failures = FailingPairs(shape, within, counts)
+    failures = FailingPairs(shape, _by_coordinate(_adjacency(g).within_two, shape, aspect))
     return not failures, failures
 
 

@@ -63,6 +63,8 @@ def test_bit_get_set():
         bs.get(12)
     with pytest.raises(RangeError):
         bs.set(-1)
+    with pytest.raises(RangeError):
+        BitString(-1)
 
 
 def test_padding_enforced():

@@ -279,6 +279,22 @@ def test_unknown_compressor_exit_2(tmp_path, capsys):
     assert "zlib" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("aspects, p_edge, message", [
+    ("3,x", "1/2", "bad aspect list"),
+    (",", "1/2", "aspect list is empty"),
+    ("3,0", "1/2", "aspect sizes must be positive"),
+    ("3,2", "0.5", "probability must be NUM/DEN"),
+    ("3,2", "1/x", "bad probability"),
+])
+def test_bad_gen_option_value_exit_2(tmp_path, capsys, aspects, p_edge, message):
+    out = tmp_path / "g.mcs"
+    with pytest.raises(SystemExit) as info:
+        run(["gen", "--aspects", aspects, "--p-edge", p_edge, "--seed", "1", "-o", str(out)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_out_flag(tmp_path):
     src = tmp_path / "g.mcs"
     dst = tmp_path / "report.json"

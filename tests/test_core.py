@@ -171,6 +171,8 @@ def test_shape_validation():
         CompanionTuple((3, 0))
     with pytest.raises(ArithmeticOverflowError):
         CompanionTuple((2**40, 2**40))
+    with pytest.raises(ShapeError):
+        SimpleMag(CompanionTuple((3, 2)), BitString(14))  # the shape needs 15 bits
 
 
 def test_coordinate_and_range_errors():

@@ -272,6 +272,10 @@ def test_msc_malformed():
         read_msc(bytes(bad_flags))
     with pytest.raises(FormatError):
         read_msc(b"MSC1" + bytes([0, 1, 0]))  # zero vertices
+    with pytest.raises(ShapeError):
+        SnapshotPayload(3, 0, False, BitString(0))
+    with pytest.raises(TruncatedError):
+        SnapshotPayload(3, 2, False, BitString(5))  # two blocks of 3 bits
 
 
 def test_interval_map_validation():
@@ -323,6 +327,8 @@ def test_contract_rejects_unmapped_and_coupling_edges():
     stray = SimpleMag.from_edges(shape, [((0, 1), (1, 2))])
     with pytest.raises(NotIntervalRestrictedError):
         contract_intervals(stray, imap)
+    with pytest.raises(ShapeError):
+        contract_intervals(stray, IntervalMap(((0, 2), (2, 4))))  # reaches instant 4
     spatial = SimpleMag.from_edges(shape, [((0, 1), (1, 1))])
     with pytest.raises(NotIntervalRestrictedError):
         contract_intervals(spatial, imap)

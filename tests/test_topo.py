@@ -300,6 +300,8 @@ def test_non_sequential_edge_predicate():
         is_non_sequential_interdimensional((0, 1), (5, 4), 1)
     with pytest.raises(ArgumentError):
         is_non_sequential_interdimensional((0, 1), (5, 4), 3)
+    with pytest.raises(ShapeError):
+        is_non_sequential_interdimensional((0, 1), (5, 4, 0), 2)
 
 
 def test_reachability_complete_and_spatial():
@@ -479,9 +481,11 @@ FAILING_PAIR_CASES = [
     *(random_mag(sizes, 5) for sizes in dict.fromkeys(sizes for sizes, _ in FAILING_PAIR_CASES)),
     random_mag((2, 3, 4, 5), 6, 1, 3),
     coupled_tvg((6, 12), 3),
+    random_mag((1, 512), 3),
+    random_mag((2, 256), 3),
 ], ids=lambda g: "x".join(map(str, g.shape.sizes)))
 def test_census_against_edge_scan(g):
-    # Every aspect, n_k <= 2 and size-1 aspects included.
+    # Every aspect, n_k <= 2, size-1 aspects and aspects of nearly all N included.
     expected = dict.fromkeys(range(2, g.shape.order + 1), 0)
     for u, v in g.edges():
         for aspect in expected:
@@ -490,10 +494,10 @@ def test_census_against_edge_scan(g):
     assert non_sequential_census(g) == expected
 
 
-@pytest.mark.parametrize("sizes", [(64, 16), (32, 24)])
+@pytest.mark.parametrize("sizes", [(64, 16), (32, 24), (1, 512), (2, 256)])
 def test_census_holds_no_n_by_n_array(sizes):
-    # A is built before tracing starts; the census reduces views of it to
-    # n_k x n_k block sums.
+    # A is built before tracing starts; the census counts its block diagonals
+    # in place, so nothing grows with n_k either, where n_k is nearly all N.
     adj = Adjacency(random_mag(sizes, 3))
     n = adj.shape.vertex_count
     tracemalloc.start()
