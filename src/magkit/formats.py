@@ -13,11 +13,13 @@ read. Writing is canonical, reading is lenient about edge order.
 Both directions go through the array kernel of magkit.core, a block of
 edges or a chunk of text at a time. The writer decodes each vertex once per
 call into its text " c_1 ... c_p" and gathers two per edge line. The reader
-joins the tokens of each chunk back into write_magt's line form, checks that
-form with one regex and parses it with one np.fromstring. A chunk outside
-that form (integer spellings such as "+1" or "0_0", runs of more than 18
-digits, any syntax error) or with a bad edge is read line by line instead:
-valid lines set their edges, and the first bad line raises its error.
+checks each chunk after the header against write_magt's line form with one
+regex and parses it with one np.fromstring, splitting nothing. Any other
+chunk is split into lines and tokens, which are joined back into that form
+and tried the same way. A chunk still outside it (integer spellings such as
+"+1" or "0_0", runs of more than 18 digits, any syntax error) or with a bad
+edge is read line by line instead: valid lines set their edges, and the
+first bad line raises its error.
 """
 
 from __future__ import annotations
@@ -122,15 +124,15 @@ def _header(tokens: list[str], lineno: int) -> SimpleMag:
         raise ParseError(str(exc), line=lineno) from exc
 
 
-def _add_lines_in_bulk(g: SimpleMag, lines: list[list[str]]) -> bool:
-    """Set the edges of tokenized lines in g; False, with g unchanged, when
-    the lines are not all in write_magt's form or do not name new edges."""
+def _add_edges_in_bulk(g: SimpleMag, text: str) -> bool:
+    """Set the edges of text in write_magt's line form in g; False, with g
+    unchanged, when the text is not all in that form or does not name new
+    edges."""
     p = g.shape.order
-    form = "\n".join(map(" ".join, filter(None, lines)))
     # at most 18 digits, so that every value fits an int64
-    if re.sub(f"e(?: [0-9]{{1,18}}){{{2 * p}}}(?:\n|\\Z)", "", form):
+    if re.sub(f"e(?: [0-9]{{1,18}}){{{2 * p}}}(?:\n|\\Z)", "", text):
         return False
-    values = np.fromstring(form.replace("e", ""), dtype=np.int64, sep=" ").reshape(-1, 2, p)
+    values = np.fromstring(text.replace("e", ""), dtype=np.int64, sep=" ").reshape(-1, 2, p)
     if (values >= np.array(g.shape.sizes)).any():
         return False
     idx = indices_from_coords(g.shape, values)
@@ -173,6 +175,9 @@ def read_magt(text: str) -> SimpleMag:
     g = None
     lineno = 1  # number of the first line of the current chunk
     for chunk in _text_chunks(text):
+        if g is not None and _add_edges_in_bulk(g, chunk):
+            lineno += chunk.count("\n")
+            continue
         if "#" in chunk:
             # a space, not nothing, so that "\r#...\n" stays two line breaks
             chunk = _COMMENT.sub(" ", chunk)
@@ -183,7 +188,9 @@ def read_magt(text: str) -> SimpleMag:
             if start < len(lines):
                 g = _header(lines[start], lineno + start)
                 start += 1
-        if g is not None and not _add_lines_in_bulk(g, lines[start:]):
+        if g is not None and not _add_edges_in_bulk(
+            g, "\n".join(map(" ".join, filter(None, lines[start:])))
+        ):
             _add_lines_one_by_one(g, lines[start:], lineno + start)
         lineno += len(lines)
     if g is None:

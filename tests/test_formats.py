@@ -243,8 +243,10 @@ def chunk_texts():
     late = len(lines) - 5
     u = lines[late].split()[1:]
     mirrored = "e " + " ".join(u[3:] + u[:3]) + "\n"
+    mid = text.count("\n", 0, 3 * formats._TEXT_CHUNK // 2)  # inside the second chunk
     return {
         "plain": (text, True),
+        "no final line break": (text.rstrip("\n"), True),
         "CRLF and comments": ("".join(
             line.rstrip("\n") + (" # c\r\n" if i % 3 else "\r\n")
             + "# only a comment\r\n" * (i % 7 == 0)
@@ -269,6 +271,11 @@ def chunk_texts():
         "first of two errors": ("".join(
             lines[:late] + ["e 0 0 0 0 0 0\n"] + lines[late:-1] + ["e 1\n"]), False),
         "range error in a later chunk": (text + "e 0 0 0 8 0 0\n", False),
+        "range error inside a chunk before the last": (
+            "".join(lines[:mid] + ["e 0 0 0 8 0 0\n"] + lines[mid:]), False),
+        "duplicate inside one chunk": (
+            "".join(lines[:mid] + [lines[mid - 1]] + lines[mid:]), False),
+        "blank line in a later chunk": ("".join(lines[:mid] + ["\n"] + lines[mid:]), True),
         "CRLF and a range error in a later chunk": (
             text.replace("\n", "\r\n") + "e 0 0 0 8 0 0\r\n", False),
         "huge coordinate": (text + "e 0 0 0 99999999999999999999 0 0\n", False),
@@ -293,8 +300,9 @@ def test_line_breaks_are_those_of_splitlines():
 
 
 @pytest.mark.parametrize("name", [
-    "plain", "CRLF and comments", "CR only", "CR only and comments", "other line breaks",
-    "non-ASCII comments and spaces", "header after a chunk of comments"])
+    "plain", "no final line break", "CRLF and comments", "CR only", "CR only and comments",
+    "other line breaks", "non-ASCII comments and spaces", "header after a chunk of comments",
+    "blank line in a later chunk"])
 def test_lenient_text_is_read_in_bulk(name, monkeypatch):
     def one_by_one(*args):
         raise AssertionError("a chunk was read line by line")
@@ -314,6 +322,22 @@ def test_chunks_end_at_every_line_break():
             tracemalloc.stop()
 
     text, _ = chunk_texts()["plain"]
-    bound = 2 * peak(text)
+    canonical = peak(text)
     for line_break in "\r", "\u2028", "\x85":
-        assert peak(text.replace("\n", line_break)) < bound
+        # the line path holds each chunk's lines and tokens; canonical chunks hold neither
+        assert canonical < peak(text.replace("\n", line_break)) < 2 * canonical
+
+
+def test_canonical_chunks_are_never_split(monkeypatch):
+    split = []
+
+    class Chunk(str):
+        def splitlines(self, *args):
+            split.append(self)
+            return super().splitlines(*args)
+
+    text_chunks = formats._text_chunks
+    monkeypatch.setattr(formats, "_text_chunks", lambda text: map(Chunk, text_chunks(text)))
+    text, _ = chunk_texts()["plain"]
+    assert write_magt(read_magt(text)) == text
+    assert [chunk.split(maxsplit=1)[0] for chunk in split] == ["mag"]
