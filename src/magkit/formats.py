@@ -13,13 +13,13 @@ read. Writing is canonical, reading is lenient about edge order.
 Both directions go through the array kernel of magkit.core, a block of
 edges or a chunk of text at a time. The writer decodes each vertex once per
 call into its text " c_1 ... c_p" and gathers two per edge line. The reader
-checks each chunk after the header against write_magt's line form with one
-regex and parses it with one np.fromstring, splitting nothing. Any other
-chunk is split into lines and tokens, which are joined back into that form
-and tried the same way. A chunk still outside it (integer spellings such as
-"+1" or "0_0", runs of more than 18 digits, any syntax error) or with a bad
-edge is read line by line instead: valid lines set their edges, and the
-first bad line raises its error.
+checks each chunk after the header against write_magt's line form, with "\n"
+or "\r\n" line ends, with one regex and parses it with one np.fromstring,
+splitting nothing. Any other chunk is split into lines and tokens, which are
+joined back into that form and tried the same way. A chunk still outside it
+(integer spellings such as "+1" or "0_0", runs of more than 18 digits, any
+syntax error) or with a bad edge is read line by line instead: valid lines
+set their edges, and the first bad line raises its error.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _add_edges_in_bulk(g: SimpleMag, text: str) -> bool:
     edges."""
     p = g.shape.order
     # at most 18 digits, so that every value fits an int64
-    if re.sub(f"e(?: [0-9]{{1,18}}){{{2 * p}}}(?:\n|\\Z)", "", text):
+    if re.sub(f"e(?: [0-9]{{1,18}}){{{2 * p}}}(?:\r?\n|\\Z)", "", text):
         return False
     values = np.fromstring(text.replace("e", ""), dtype=np.int64, sep=" ").reshape(-1, 2, p)
     if (values >= np.array(g.shape.sizes)).any():

@@ -15,14 +15,17 @@ and the distance <= 2 mask A ∨ A² (the matrix form of MAG traversal); each
 row block multiplies only its non-zero column span. The diameter is read off
 that mask; when some pair is farther than two apart, it comes from the
 multi-source packed-word BFS of `magkit.traversal`, which starts every source
-at depth 2 from that mask. The non-sequential census reads A's far block
-diagonals in place, and the reachability check counts that mask's far blocks.
+at depth 2 from that mask. The non-sequential census and the reachability
+check count the far block rows of A and of that mask in place (`_far_rows`).
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -196,10 +199,16 @@ def _by_coordinate(matrix: np.ndarray, shape: CompanionTuple, aspect: int) -> np
     the one aspect split of a vertex index, which needs no copy: mixed radix
     makes an index (o * n_k + c) * inner + i, c the coordinate on `aspect`,
     i over the aspects before it (inner = stride_k), o over those after.
-    Block (c, d) is view[:, c, :, :, d, :]; the census and `FailingPairs` read it."""
+    Block (c, d) is view[:, c, :, :, d, :]; both non-sequential analyzers read it."""
     n_k = shape.sizes[aspect - 1]
     inner = shape.strides[aspect - 1]
     return matrix.reshape((shape.vertex_count // (n_k * inner), n_k, inner) * 2)
+
+
+def _far_rows(view: np.ndarray, gap: int, first: int = 0):
+    """For each coordinate c >= first of a `_by_coordinate` view, its blocks
+    (c, d) with d - c >= gap, in place: view[:, c, :, :, c + gap:, :]."""
+    return (view[:, c, :, :, c + gap :, :] for c in range(first, view.shape[1]))
 
 
 def non_sequential_census(g: SimpleMag) -> dict[int, int]:
@@ -208,10 +217,9 @@ def non_sequential_census(g: SimpleMag) -> dict[int, int]:
     shape = g.shape
     census = {}
     for aspect in range(2, shape.order + 1):
-        view = _by_coordinate(matrix, shape, aspect)
-        # A is symmetric: its block diagonals d - c >= 2 hold each such edge once.
-        diagonals = (view.diagonal(d, 1, 4) for d in range(2, view.shape[1]))
-        census[aspect] = sum(int(np.count_nonzero(diagonal)) for diagonal in diagonals)
+        # A is symmetric: its blocks (c, d >= c + 2) hold each such edge once.
+        rows = _far_rows(_by_coordinate(matrix, shape, aspect), 2)
+        census[aspect] = sum(int(np.count_nonzero(row)) for row in rows)
     return census
 
 
@@ -220,24 +228,25 @@ class FailingPairs(Sequence):
     (c_u, c_v, index of u, index of v) for the coordinates c on one aspect.
 
     Holds the `_by_coordinate` view of A ∨ A², so it keeps those N² bools
-    alive, and the cumulative unset count of each (c_u, c_v) block with
-    c_v - c_u >= 3. An item takes its block's unset bits, in (o_u, i_u, o_v,
-    i_v) order, which is index order; the last block read is kept, so
+    alive, and the n_k + 1 row starts of the cumulative unset counts of its
+    far rows, the blocks (c_u, c_v >= c_u + 3). An item takes its row's
+    per-block ends, then its block's unset bits, in (o_u, i_u, o_v, i_v)
+    order, which is index order; the last row and block read are kept, so
     iteration reads each once.
     """
 
-    __slots__ = ("_shape", "_within", "_ends", "_block")
+    __slots__ = ("_shape", "_within", "_starts", "_kept")
 
     def __init__(self, shape: CompanionTuple, within: np.ndarray):
         self._shape = shape
         self._within = within
-        outer, _, inner = within.shape[:3]
-        unset = np.triu((outer * inner) ** 2 - within.sum(axis=(0, 2, 3, 5)), k=3).ravel()
-        self._ends = np.cumsum(unset, out=unset)
-        self._block = (-1, None)
+        unset = (row.size - np.count_nonzero(row) for row in _far_rows(within, 3))
+        self._starts = array("q", accumulate(unset, initial=0))
+        # (c_u, its blocks' item bounds, c_v, the block's unset bits); no row yet
+        self._kept = (-1, [0], -1, None)
 
     def __len__(self) -> int:
-        return int(self._ends[-1])
+        return self._starts[-1]
 
     def __getitem__(self, item):
         if isinstance(item, slice):
@@ -246,14 +255,19 @@ class FailingPairs(Sequence):
 
     def _pair(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         outer, n_k, inner = self._within.shape[:3]
-        block = int(np.searchsorted(self._ends, k, side="right"))
-        c_u, c_v = divmod(block, n_k)
-        read, failing = self._block  # read once: a concurrent reader may swap it
-        if read != block:
-            failing = np.flatnonzero(~self._within[:, c_u, :, :, c_v, :])
-            self._block = block, failing
-        start = int(self._ends[block]) - failing.size
-        u, v = divmod(int(failing[k - start]), outer * inner)
+        c_u, bounds, c_v, failing = self._kept  # read once: a concurrent reader may swap it
+        if not bounds[0] <= k < bounds[-1]:
+            c_u = bisect_right(self._starts, k) - 1
+            row = next(_far_rows(self._within, 3, c_u))
+            unset = (outer * inner) ** 2 - np.count_nonzero(row, axis=(0, 1, 2, 4))
+            bounds = array("q", accumulate(unset, initial=self._starts[c_u]))
+            c_v = -1
+        block = bisect_right(bounds, k) - 1
+        column = n_k + 1 - len(bounds) + block  # the row's blocks are its last coordinates
+        if column != c_v:
+            c_v, failing = column, np.flatnonzero(~self._within[:, c_u, :, :, column, :])
+        self._kept = c_u, bounds, c_v, failing
+        u, v = divmod(int(failing[k - bounds[block]]), outer * inner)
         (o_u, i_u), (o_v, i_v) = divmod(u, inner), divmod(v, inner)
         a, b = (o_u * n_k + c_u) * inner + i_u, (o_v * n_k + c_v) * inner + i_v
         return vertex_from_index(self._shape, a), vertex_from_index(self._shape, b)

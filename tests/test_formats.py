@@ -244,6 +244,7 @@ def chunk_texts():
     u = lines[late].split()[1:]
     mirrored = "e " + " ".join(u[3:] + u[:3]) + "\n"
     mid = text.count("\n", 0, 3 * formats._TEXT_CHUNK // 2)  # inside the second chunk
+    crlf = [line.replace("\n", "\r\n") for line in lines]
     return {
         "plain": (text, True),
         "no final line break": (text.rstrip("\n"), True),
@@ -278,6 +279,15 @@ def chunk_texts():
         "blank line in a later chunk": ("".join(lines[:mid] + ["\n"] + lines[mid:]), True),
         "CRLF and a range error in a later chunk": (
             text.replace("\n", "\r\n") + "e 0 0 0 8 0 0\r\n", False),
+        "CRLF": ("".join(crlf), True),
+        "CRLF and a range error inside a chunk before the last": (
+            "".join(crlf[:mid] + ["e 0 0 0 8 0 0\r\n"] + crlf[mid:]), False),
+        "CRLF and a duplicate inside one chunk": (
+            "".join(crlf[:mid] + [crlf[mid - 1]] + crlf[mid:]), False),
+        "CRLF and a bad token in a later chunk": ("".join(
+            crlf[:late] + [crlf[late].replace(" ", " x", 1)] + crlf[late + 1:]), False),
+        "CRLF and a lone CR in a later chunk": (
+            "".join(crlf[:late] + [lines[late].replace("\n", "\r")] + crlf[late + 1:]), True),
         "huge coordinate": (text + "e 0 0 0 99999999999999999999 0 0\n", False),
         "negative coordinate": (text + "e 0 0 0 -1 0 0\n", False),
         "second header": ("".join(lines[:late] + ["mag 3 8 8 4\n"] + lines[late:]), False),
@@ -302,7 +312,7 @@ def test_line_breaks_are_those_of_splitlines():
 @pytest.mark.parametrize("name", [
     "plain", "no final line break", "CRLF and comments", "CR only", "CR only and comments",
     "other line breaks", "non-ASCII comments and spaces", "header after a chunk of comments",
-    "blank line in a later chunk"])
+    "blank line in a later chunk", "CRLF", "CRLF and a lone CR in a later chunk"])
 def test_lenient_text_is_read_in_bulk(name, monkeypatch):
     def one_by_one(*args):
         raise AssertionError("a chunk was read line by line")
@@ -339,5 +349,7 @@ def test_canonical_chunks_are_never_split(monkeypatch):
     text_chunks = formats._text_chunks
     monkeypatch.setattr(formats, "_text_chunks", lambda text: map(Chunk, text_chunks(text)))
     text, _ = chunk_texts()["plain"]
-    assert write_magt(read_magt(text)) == text
-    assert [chunk.split(maxsplit=1)[0] for chunk in split] == ["mag"]
+    for name in "plain", "CRLF":  # as written, and as a Windows editor saves it
+        split.clear()
+        assert write_magt(read_magt(chunk_texts()[name][0])) == text
+        assert [chunk.split(maxsplit=1)[0] for chunk in split] == ["mag"]

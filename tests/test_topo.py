@@ -437,11 +437,12 @@ def test_reachability_against_loop_oracle(g, aspect):
             failures[len(expected)]
 
 
-@pytest.mark.parametrize("sizes", [(64, 16), (32, 24)])
+@pytest.mark.parametrize("sizes", [(64, 16), (32, 24), (1, 512), (2, 256)])
 def test_reachability_holds_no_n_by_n_array(sizes):
-    # A ∨ A² is built before tracing starts; the check counts each block's
+    # A ∨ A² is built before tracing starts; the check counts each far row's
     # failures in place and keeps no position per failing pair, so it and its
-    # first ten items stay far below one N x N bool mask.
+    # first ten items stay far below one N x N bool mask, and nothing grows
+    # with n_k² either, where n_k is nearly all N.
     adj = Adjacency(coupled_tvg(sizes, 3))
     adj.within_two
     n = adj.shape.vertex_count
@@ -510,12 +511,31 @@ def test_census_holds_no_n_by_n_array(sizes):
     assert peak <= n * n / 8, f"{peak / n**2:.3f} N²"
 
 
+def joined(sizes, blocks):
+    """An order-2 MAG whose only edges join every vertex of instant c to
+    every vertex of instant d, for each (c, d) in blocks."""
+    n = sizes[0]
+    edges = [((x, c), (y, d)) for c, d in blocks for x in range(n) for y in range(n)]
+    return SimpleMag.from_edges(CompanionTuple(sizes), edges)
+
+
 @pytest.mark.parametrize("g, aspect", [
     (random_mag(sizes, 5, 1, 8), aspect) for sizes, aspect in FAILING_PAIR_CASES
-] + [(coupled_tvg((6, 12), 3), 2)])
+] + [
+    (coupled_tvg((6, 12), 3), 2),
+    # Row 1 has no failing pair, between rows 0 and 2 that have, and nor
+    # do rows 4 to 6; in row 0, block (0, 5) has none, between blocks that have.
+    (joined((2, 10), [(1, d) for d in range(4, 10)] + [(0, 5)]), 2),
+    # Row 0's blocks (0, 3) to (0, 7) have no failing pair; its last, (0, 8), has.
+    (joined((2, 9), [(0, d) for d in range(3, 8)] + [(1, 8)]), 2),
+    # n_k <= 3: no block is far enough, so there are no items.
+    (random_mag((4, 3), 5, 1, 8), 2), (random_mag((5, 2), 5, 1, 8), 2),
+    (random_mag((3, 3, 4), 5, 1, 8), 2),
+])
 def test_failing_pairs_index_and_slice_as_the_negated_mask(g, aspect):
-    # Items, slices and reversal cross block boundaries; zipping the sequence
-    # with its reverse swaps the kept block on nearly every read.
+    # Items, slices and reversal cross block and row boundaries; zipping the
+    # sequence with its reverse swaps the kept row and block on nearly every
+    # read.
     _, failures = verify_non_sequential_reachability(g, aspect)
     expected = oracles.failing_pairs(g, aspect)
     assert len(failures) == len(expected)
@@ -529,9 +549,9 @@ def test_failing_pairs_index_and_slice_as_the_negated_mask(g, aspect):
         failures[len(failures)]
 
 
-def test_iterating_failing_pairs_reads_each_block_once(monkeypatch):
-    # Failing pairs of a coupled TVG (6,12) fill every block with c_b - c_a
-    # >= 3; iteration takes each block's unset bits once, in block order.
+def record_coordinate_reads(monkeypatch):
+    """The (c, d) keys read through every `_by_coordinate` view, in order:
+    a row read when d is a slice, a block read when d is an integer."""
     reads = []
 
     class Recorded(np.ndarray):
@@ -544,9 +564,30 @@ def test_iterating_failing_pairs_reads_each_block_once(monkeypatch):
     monkeypatch.setattr(
         topo, "_by_coordinate", lambda m, s, a: by_coordinate(m.view(Recorded), s, a)
     )
+    return reads
+
+
+def test_counting_failing_pairs_reads_no_block(monkeypatch):
+    # The count takes each far row whole; no block's unset bits are read
+    # until an item is.
+    reads = record_coordinate_reads(monkeypatch)
+    _, failures = verify_non_sequential_reachability(random_mag((6, 12), 5, 1, 8), 2)
+    assert len(failures) > 0
+    assert reads == [(c, slice(c + 3, None)) for c in range(12)]
+
+
+def test_iterating_failing_pairs_reads_each_block_once(monkeypatch):
+    # Failing pairs of a coupled TVG (6,12) fill every block with c_b - c_a
+    # >= 3; iteration takes each row's per-block counts once, in row order,
+    # and each block's unset bits once, in block order.
+    reads = record_coordinate_reads(monkeypatch)
     _, failures = verify_non_sequential_reachability(coupled_tvg((6, 12), 3), 2)
+    reads.clear()
     assert len(list(failures)) == 6 * 6 * sum(range(10))
-    assert reads == [(c, d) for c in range(12) for d in range(c + 3, 12)]
+    rows = [(c, d) for c, d in reads if isinstance(d, slice)]
+    assert rows == [(c, slice(c + 3, None)) for c in range(9)]
+    blocks = [(c, d) for c, d in reads if not isinstance(d, slice)]
+    assert blocks == [(c, d) for c in range(12) for d in range(c + 3, 12)]
 
 
 def test_failing_pairs_read_from_many_threads():
