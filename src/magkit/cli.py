@@ -4,10 +4,9 @@ Every run is a pure function of its flags and input bytes: seeds are
 mandatory where randomness is involved, reports are key-sorted JSON, and
 identical invocations produce byte-identical outputs.
 
-Exit codes: 0 success, 1 I/O failure, 2 usage or malformed input,
-3 domain violation (e.g. encoding a non-snapshot MAG). Failures print one
-machine-readable JSON object on stderr; an exit-3 failure that names an edge
-first prints that edge on its own line as a `.magt` edge line `e u... v...`.
+Exit codes: 0 success, 1 I/O failure, 2 usage or malformed input, 3 domain
+violation (an EdgeError). Failures print one JSON object on stderr, after the
+EdgeError's edge as a `.magt` edge line `e u... v...` when it names one.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from . import kproxy, randgen, snapshot, topo
 from .core import CompanionTuple
-from .errors import ArgumentError, MagError, NotSnapshotError, ParseError
+from .errors import ArgumentError, EdgeError, MagError, ParseError
 from .formats import read_magt, read_mcs, write_magt, write_mcs
 
 EXIT_OK = 0
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fail(code: int, error: Exception) -> int:
     payload = {"error": type(error).__name__, "message": str(error)}
-    if isinstance(error, NotSnapshotError) and error.edge:
+    if isinstance(error, EdgeError) and error.edge:
         u, v = error.edge
         payload["edge"] = "e " + " ".join(str(c) for c in (*u, *v))
         print(payload["edge"], file=sys.stderr)
@@ -211,7 +210,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except NotSnapshotError as exc:
+    except EdgeError as exc:
         return _fail(EXIT_DOMAIN, exc)
     except MagError as exc:
         return _fail(EXIT_USAGE, exc)

@@ -67,20 +67,20 @@ class DuplicateEdgeError(ParseError):
     """The same composite edge appears more than once."""
 
 
-class NotSnapshotError(MagError):
+class EdgeError(MagError):
+    """A present edge violates a domain rule; `edge` names it as (u, v)."""
+
+    def __init__(self, message, edge=None):
+        super().__init__(message)
+        self.edge = edge
+
+
+class NotSnapshotError(EdgeError):
     """A present edge is not spatial (nor an allowed coupling)."""
 
-    def __init__(self, message, edge=None):
-        super().__init__(message)
-        self.edge = edge
 
-
-class NotIntervalRestrictedError(MagError):
+class NotIntervalRestrictedError(EdgeError):
     """A present edge has no image under an interval-contraction map."""
-
-    def __init__(self, message, edge=None):
-        super().__init__(message)
-        self.edge = edge
 
 
 class CompressorError(MagError):

@@ -182,16 +182,14 @@ def read_magt(text: str) -> SimpleMag:
             # a space, not nothing, so that "\r#...\n" stays two line breaks
             chunk = _COMMENT.sub(" ", chunk)
         lines = list(map(str.split, chunk.splitlines()))
-        start = 0
-        if g is None:
-            start = next((i for i, tokens in enumerate(lines) if tokens), len(lines))
-            if start < len(lines):
-                g = _header(lines[start], lineno + start)
-                start += 1
+        if g is None and any(lines):
+            first = next(i for i, tokens in enumerate(lines) if tokens)
+            g = _header(lines[first], lineno + first)
+            lines[first] = []  # parsed, the header line reads as blank below
         if g is not None and not _add_edges_in_bulk(
-            g, "\n".join(map(" ".join, filter(None, lines[start:])))
+            g, "\n".join(map(" ".join, filter(None, lines)))
         ):
-            _add_lines_one_by_one(g, lines[start:], lineno + start)
+            _add_lines_one_by_one(g, lines, lineno)
         lineno += len(lines)
     if g is None:
         raise ParseError("no 'mag' header found")

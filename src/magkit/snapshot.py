@@ -209,10 +209,14 @@ def decode_snapshot(payload: SnapshotPayload) -> SimpleMag:
     return g
 
 
+def _msc_header(n_vertices: int, n_times: int, couplings: bool) -> bytes:
+    flag = b"\x01" if couplings else b"\x00"
+    return MSC_MAGIC + encode_uvarint(n_vertices) + encode_uvarint(n_times) + flag
+
+
 def write_msc(payload: SnapshotPayload) -> bytes:
-    varints = map(encode_uvarint, (payload.n_vertices, payload.n_times))
-    flag = b"\x01" if payload.couplings else b"\x00"
-    return b"".join([MSC_MAGIC, *varints, flag, payload.blocks.payload])
+    header = _msc_header(payload.n_vertices, payload.n_times, payload.couplings)
+    return header + payload.blocks.payload
 
 
 def read_msc(data: bytes) -> SnapshotPayload:
@@ -237,9 +241,7 @@ def read_msc(data: bytes) -> SnapshotPayload:
 
 def msc_header_bits(n_vertices: int, n_times: int) -> int:
     """Serialized bits of an .msc stream that are not block bits."""
-    return 8 * (
-        len(MSC_MAGIC) + len(encode_uvarint(n_vertices)) + len(encode_uvarint(n_times)) + 1
-    )
+    return 8 * len(_msc_header(n_vertices, n_times, False))
 
 
 @dataclass(frozen=True)

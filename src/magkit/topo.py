@@ -305,7 +305,7 @@ def topo_report(g: SimpleMag, reachability_aspect: int | None = None) -> dict:
     shape = g.shape
     if reachability_aspect is not None:
         _check_reachability_aspect(shape, reachability_aspect)
-    adj = Adjacency(g)
+    adj = _adjacency(g)
     degrees, deviation = degree_profile(adj)
     extremes = common_neighbor_extremes(adj)
     diameter = composite_diameter(adj)

@@ -13,6 +13,7 @@ from magkit import randgen, snapshot
 from magkit.bitstring import BLOCK, BitString
 from magkit.core import CompanionTuple, SimpleMag, edge_from_rank
 from magkit.errors import (
+    EdgeError,
     FormatError,
     MagError,
     NotIntervalRestrictedError,
@@ -175,6 +176,7 @@ def test_encode_rejects_non_spatial():
     g.set_edge((0, 0), (1, 2))
     with pytest.raises(NotSnapshotError) as info:
         encode_snapshot(g)
+    assert isinstance(info.value, EdgeError)
     assert info.value.edge == ((0, 0), (1, 2))
     # with implied couplings, couplings pass but this edge still fails
     with pytest.raises(NotSnapshotError):
@@ -244,6 +246,24 @@ def test_msc_header_overhead():
     data = write_msc(encode_snapshot(spatial_mag((9, 3), 0)))
     block_bits = 3 * (81 - 9) // 2
     assert 8 * len(data) - 8 * ((block_bits + 7) // 8) == msc_header_bits(9, 3)
+
+
+@pytest.mark.parametrize(
+    "n_vertices, n_times",
+    [(n_v, n_t) for n_v in (1, 2) for n_t in (1, 127, 128, 16383, 16384)]
+    + [(n_v, n_t) for n_v in (127, 128) for n_t in (1, 2)],
+)
+@pytest.mark.parametrize("couplings", [False, True])
+def test_msc_header_bits_is_the_written_header(n_vertices, n_times, couplings):
+    # varints of 1, 2 and 3 bytes: 127 < 2**7 <= 128, 16383 < 2**14 <= 16384
+    width = {1: 1, 2: 1, 127: 1, 128: 2, 16383: 2, 16384: 3}
+    rng = np.random.default_rng(n_vertices * n_times)
+    bits = rng.integers(0, 2, n_times * (n_vertices**2 - n_vertices) // 2, dtype=np.uint8)
+    payload = SnapshotPayload(n_vertices, n_times, couplings, BitString.from_array(bits))
+    data = write_msc(payload)
+    assert 8 * (len(data) - len(payload.blocks.payload)) == msc_header_bits(n_vertices, n_times)
+    assert msc_header_bits(n_vertices, n_times) == 8 * (4 + width[n_vertices] + width[n_times] + 1)
+    assert read_msc(data) == payload
 
 
 def test_msc_length_bound():
@@ -325,19 +345,14 @@ def test_contract_rejects_unmapped_and_coupling_edges():
     imap = IntervalMap(((0, 2),))
     shape = CompanionTuple((3, 4))
     stray = SimpleMag.from_edges(shape, [((0, 1), (1, 2))])
-    with pytest.raises(NotIntervalRestrictedError):
-        contract_intervals(stray, imap)
     with pytest.raises(ShapeError):
         contract_intervals(stray, IntervalMap(((0, 2), (2, 4))))  # reaches instant 4
-    spatial = SimpleMag.from_edges(shape, [((0, 1), (1, 1))])
-    with pytest.raises(NotIntervalRestrictedError):
-        contract_intervals(spatial, imap)
-    coupling = SimpleMag.from_edges(shape, [((1, 0), (1, 2))])
-    with pytest.raises(NotIntervalRestrictedError):
-        contract_intervals(coupling, imap)
-    mirrored = SimpleMag.from_edges(shape, [((2, 0), (1, 2))])
-    with pytest.raises(NotIntervalRestrictedError):
-        contract_intervals(mirrored, imap)
+    # unmapped, spatial, coupling and mirrored edges
+    for edge in [((0, 1), (1, 2)), ((0, 1), (1, 1)), ((1, 0), (1, 2)), ((2, 0), (1, 2))]:
+        with pytest.raises(NotIntervalRestrictedError) as info:
+            contract_intervals(SimpleMag.from_edges(shape, [edge]), imap)
+        assert isinstance(info.value, EdgeError)
+        assert info.value.edge == edge
 
 
 def test_expand_validation():
@@ -348,8 +363,10 @@ def test_expand_validation():
     with pytest.raises(ShapeError):
         expand_intervals(contracted, imap, 3)  # map reaches instant 3
     not_spatial = SimpleMag.from_edges(CompanionTuple((3, 2)), [((0, 0), (1, 1))])
-    with pytest.raises(NotSnapshotError):
+    with pytest.raises(NotSnapshotError) as info:
         expand_intervals(not_spatial, imap, 4)
+    assert isinstance(info.value, EdgeError)
+    assert info.value.edge == ((0, 0), (1, 1))
 
 
 def test_multiplex_checks():

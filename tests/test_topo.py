@@ -370,6 +370,24 @@ def test_report_stable_and_complete():
     assert order1["diameter"] == "disconnected"
 
 
+def test_report_reuses_a_prebuilt_adjacency_and_its_square_pass(monkeypatch):
+    g = random_mag((16, 8), 5)
+    adj = Adjacency(g)
+    adj.extremes  # runs and caches the A·A pass
+    calls = []
+
+    def counting(name):
+        original = getattr(topo, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("dense_adjacency", "_square_blocks"):
+        monkeypatch.setattr(topo, name, counting(name))
+    report = topo_report(adj, 2)
+    assert calls == []
+    assert json.dumps(report, sort_keys=True) == json.dumps(topo_report(g, 2), sort_keys=True)
+    assert "dense_adjacency" in calls and "_square_blocks" in calls
+
+
 # Differential tests: brute-force oracles kept beside the vectorized analyzers.
 
 
